@@ -41,7 +41,6 @@ from .shooting import (
     center_amplitude,
     coefficients,
     concavity_check,
-    energy_residual,
     half_width_quadrature,
     shoot,
 )

@@ -85,50 +85,75 @@ class FamilyId(Enum):
 _SAME = "sgn(g) = sgn(a) = sgn(b)"
 _BFLIP = "sgn(g) = sgn(a) = -sgn(b)"
 
-# (free parameter name, admissible open interval, sign pattern, m relation)
-_FAMILY_TABLE: dict[FamilyId, tuple[str, tuple[Fraction, Fraction | None], str]] = {
-    FamilyId.ZSQ1: ("n", (Fraction(1), None), _SAME),
-    FamilyId.ZSQ2: ("n", (Fraction(1), Fraction(2)), _BFLIP),
-    FamilyId.COS1: ("n", (Fraction(1), None), _SAME),
-    FamilyId.COS2: ("m", (Fraction(0), Fraction(1)), _BFLIP),
-    FamilyId.CN1: ("n", (Fraction(1, 2), Fraction(1)), _BFLIP),
-    FamilyId.CN2: ("n", (Fraction(1), None), _SAME),
-    FamilyId.SN1: ("n", (Fraction(1, 2), Fraction(1)), _BFLIP),
-    FamilyId.SN2: ("n", (Fraction(1), None), _SAME),
-    FamilyId.RATCN1: ("n", (Fraction(1), None), _SAME),
-    FamilyId.RATCN2: ("n", (Fraction(1), None), _SAME),
-    FamilyId.RATCN3: ("n", (Fraction(2, 3), Fraction(1)), _BFLIP),
-    FamilyId.RATCN4: ("n", (Fraction(1, 3), Fraction(1)), _BFLIP),
-    FamilyId.RATCN5: ("n", (Fraction(1, 3), Fraction(1)), _BFLIP),
-    FamilyId.RATCN6: ("n", (Fraction(1), None), _SAME),
+
+@dataclass(frozen=True)
+class _Family:
+    """A family's algebra in its free power x (n; m for COS2, where n = 1):
+    m(x) = mc*x + m0 and p(x) = P/(dc*x + d0), dc*x + d0 > 0 on the domain."""
+
+    var: str
+    domain: tuple[Fraction, Fraction | None]    # open admissible interval of x
+    signs: str
+    m: tuple[Fraction | int, Fraction | int]    # (mc, m0)
+    p: tuple[int, int, int]                     # (P, dc, d0)
+    case6: bool = False               # endpoint amplitude forced by weak-KP cases 5/6
+    published_weak_KP: bool = False   # published weak-KP range: the whole domain
+
+    def m_of(self, x):
+        return self.m[0] * x + self.m[1]
+
+    def p_of(self, x):
+        return self.p[0] / (self.p[1] * x + self.p[2])
+
+
+_F = Fraction
+_FAMILIES: dict[FamilyId, _Family] = {
+    FamilyId.ZSQ1: _Family("n", (_F(1), None), _SAME, (_F(1, 2), _F(1, 2)), (2, 1, -1)),
+    FamilyId.ZSQ2: _Family("n", (_F(1), _F(2)), _BFLIP, (-1, 2), (1, 1, -1), case6=True),
+    FamilyId.COS1: _Family("n", (_F(1), None), _SAME, (1, 0), (2, 1, -1)),
+    FamilyId.COS2: _Family("m", (_F(0), _F(1)), _BFLIP, (1, 0), (2, -1, 1), case6=True),
+    FamilyId.CN1: _Family("n", (_F(1, 2), _F(1)), _BFLIP, (2, -1), (2, -1, 1), case6=True),
+    FamilyId.CN2: _Family("n", (_F(1), None), _SAME, (2, -1), (2, 1, -1)),
+    FamilyId.SN1: _Family("n", (_F(1, 2), _F(1)), _BFLIP, (2, -1), (2, -1, 1), case6=True),
+    FamilyId.SN2: _Family("n", (_F(1), None), _SAME, (2, -1), (2, 1, -1)),
+    # the inner fractions of RATCN1/2/4/5 have a double zero: p = 2*exponent
+    FamilyId.RATCN1: _Family("n", (_F(1), None), _SAME, (3, -2), (2, 1, -1),
+                             published_weak_KP=True),
+    FamilyId.RATCN2: _Family("n", (_F(1), None), _SAME, (3, -2), (2, 1, -1),
+                             published_weak_KP=True),
+    FamilyId.RATCN3: _Family("n", (_F(2, 3), _F(1)), _BFLIP, (3, -2), (1, -1, 1),
+                             case6=True),
+    FamilyId.RATCN4: _Family("n", (_F(1, 3), _F(1)), _BFLIP, (_F(3, 2), _F(-1, 2)),
+                             (4, -1, 1), case6=True),
+    FamilyId.RATCN5: _Family("n", (_F(1, 3), _F(1)), _BFLIP, (_F(3, 2), _F(-1, 2)),
+                             (4, -1, 1), case6=True),
+    FamilyId.RATCN6: _Family("n", (_F(1), None), _SAME, (_F(3, 2), _F(-1, 2)), (2, 1, -1),
+                             published_weak_KP=True),
 }
 
 
 def family_m(family: FamilyId, n: float) -> float:
     """Nonlinearity power m fixed by the family's m-n relation."""
-    if family in (FamilyId.ZSQ1,):
-        return (n + 1.0) / 2.0
-    if family is FamilyId.ZSQ2:
-        return 2.0 - n
-    if family is FamilyId.COS1:
-        return n
-    if family is FamilyId.COS2:
+    if _FAMILIES[family].var == "m":
         raise InvalidParameters("COS2 fixes n = 1 and is parameterized by m")
-    if family in (FamilyId.CN1, FamilyId.CN2, FamilyId.SN1, FamilyId.SN2):
-        return 2.0 * n - 1.0
-    if family in (FamilyId.RATCN1, FamilyId.RATCN2, FamilyId.RATCN3):
-        return 3.0 * n - 2.0
-    return (3.0 * n - 1.0) / 2.0  # RATCN4, RATCN5, RATCN6
+    return _FAMILIES[family].m_of(n)
 
 
 def admissible_interval(family: FamilyId) -> tuple[str, Fraction, Fraction | None]:
     """(parameter name, lower, upper) of the family's weak-existence range."""
-    pname, (lo, hi), _ = _FAMILY_TABLE[family]
-    return pname, lo, hi
+    fam = _FAMILIES[family]
+    return (fam.var, *fam.domain)
 
 
 def sign_condition(family: FamilyId) -> str:
-    return _FAMILY_TABLE[family][2]
+    return _FAMILIES[family].signs
+
+
+def _require_nonzero_g(family: FamilyId, g: float) -> None:
+    if g == 0:
+        raise ProcedureRejection(
+            f"{family.value}: g = 0; every catalog family divides by a power of g"
+        )
 
 
 @dataclass(eq=False)
@@ -153,7 +178,7 @@ class ClosedFormProfile:
 
 
 def _check_signs(family: FamilyId, a: float, b: float, g: float) -> None:
-    pattern = _FAMILY_TABLE[family][2]
+    pattern = _FAMILIES[family].signs
     sa, sb, sg = math.copysign(1, a), math.copysign(1, b), math.copysign(1, g)
     ok = (sg == sa == sb) if pattern == _SAME else (sg == sa == -sb)
     if not ok:
@@ -173,22 +198,19 @@ def construct(family: FamilyId, n: float | None = None, a: float = 1.0,
     The half-width is root-found, never read off a closed formula.
     """
     a, b, g = float(a), float(b), float(g)
-    if g == 0:
-        raise ProcedureRejection(
-            f"{family.value}: g = 0; every catalog family divides by a power of g"
-        )
-    pname, lo, hi = admissible_interval(family)
-    if family is FamilyId.COS2:
+    _require_nonzero_g(family, g)
+    fam = _FAMILIES[family]
+    pname, (lo, hi) = fam.var, fam.domain
+    if pname == "m":
         if m is None:
             raise InvalidParameters("COS2 requires the nonlinearity power m")
-        m = float(m)
+        free = m = float(m)
         n = 1.0
     else:
         if n is None:
             raise InvalidParameters(f"{family.value} requires the dispersion power n")
-        n = float(n)
-        m = family_m(family, n)
-    free = m if pname == "m" else n
+        free = n = float(n)
+        m = fam.m_of(n)
     if not (lo < free and (hi is None or free < hi)):
         upper = "inf" if hi is None else str(hi)
         raise ProcedureRejection(
@@ -197,12 +219,13 @@ def construct(family: FamilyId, n: float | None = None, a: float = 1.0,
         )
     _check_signs(family, a, b, g)
     params = EquationParams(m=m, n=n, a=a, b=b, sigma=sigma, kind=kind)
-    prof = _resolve(family, params, g)
+    prof = _resolve(family, params, g, fam.p_of(free))
     prof.L = first_zero(prof)
     return prof
 
 
-def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormProfile:
+def _resolve(family: FamilyId, params: EquationParams, g: float,
+             p: float) -> ClosedFormProfile:
     """Fill in alpha, beta, modulus, exponent, and the inner callable."""
     m, n, a, b = params.m, params.n, params.a, params.b
     mod: Modulus | None = None
@@ -213,7 +236,6 @@ def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormPr
         alpha = (g * (3 * n + 1) / (2 * a * (n + 1))) ** (2.0 / (n - 1))
         beta = a * a * (n + 1) * (n - 1) ** 2 / (2 * g * b * n * (3 * n + 1) ** 2)
         exponent = 2.0 / (n - 1)
-        p = exponent
         inner = lambda xi: 1.0 - beta * xi * xi
         bracket = 1.0 / math.sqrt(beta)
         printed = 1.0 / math.sqrt(beta)
@@ -222,7 +244,6 @@ def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormPr
         # this quadratic coefficient is negative under the sign pattern
         beta = g * g * (n - 1) ** 2 / (a * b * n * (n + 1) ** 2)
         exponent = 1.0 / (n - 1)
-        p = exponent
         inner = lambda xi: 1.0 + beta * xi * xi
         bracket = 1.0 / math.sqrt(-beta)
         printed = 1.0 / math.sqrt(-beta)
@@ -230,7 +251,6 @@ def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormPr
         alpha = (2 * n * g / ((n + 1) * a)) ** (1.0 / (n - 1))
         beta = (n - 1) / (2 * n) * math.sqrt(a / b)
         exponent = 2.0 / (n - 1)
-        p = exponent
         inner = lambda xi: np.cos(beta * xi)
         bracket = math.pi / (2 * beta)
         printed = math.pi / (2 * beta)
@@ -238,7 +258,6 @@ def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormPr
         alpha = (2 * a / (g * (m + 1))) ** (1.0 / (1 - m))
         beta = 0.5 * (1 - m) * math.sqrt(-g / b)
         exponent = 2.0 / (1 - m)
-        p = exponent
         inner = lambda xi: np.cos(beta * xi)
         bracket = math.pi / (2 * beta)
         # the catalog formula carries |g|/|b| where the argument scale
@@ -255,7 +274,6 @@ def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormPr
             alpha = (g * (3 * n - 1) / (a * (n + 1))) ** (1.0 / (2 * n - 2))
             beta = (n - 1) * math.sqrt(a / (n * b)) * quarter
             exponent = 2.0 / (n - 1)
-        p = exponent
         inner = lambda xi: jacobi(beta * xi, MOD_HALF)[1]
         bracket = complete_K(MOD_HALF) / beta
         printed = complete_K(MOD_HALF) / beta
@@ -270,7 +288,6 @@ def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormPr
             alpha = (g * (3 * n - 1) / (a * (n + 1))) ** (1.0 / (2 * n - 2))
             beta = (n - 1) * math.sqrt(a / (2 * n * b)) * quarter
             exponent = 2.0 / (n - 1)
-        p = exponent
         Ki = complete_K(MOD_IMAG)
         shift = Ki / beta  # quarter-period offset placing the crest at xi = 0
         inner = lambda xi: jacobi(beta * xi + Ki, MOD_IMAG)[0]
@@ -284,7 +301,6 @@ def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormPr
         beta = (n - 1) * (12 * SQRT3 * a * g * g
                           / (b ** 3 * n ** 3 * (n + 1) ** 2 * (2 * n - 1))) ** (1.0 / 6)
         exponent = 1.0 / (n - 1)
-        p = 2.0 / (n - 1)  # the inner fraction has a double zero
         inner = lambda xi: _rat_low(beta * xi)
         bracket = complete_K(MOD_LOW) / beta
         printed = 2.0 * complete_K(MOD_LOW) / beta
@@ -298,7 +314,6 @@ def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormPr
         beta = (1 - n) * (-12 * SQRT3 * a * g * g
                           / (b ** 3 * n ** 3 * (n + 1) ** 2 * (2 * n - 1))) ** (1.0 / 6)
         exponent = 1.0 / (1 - n)
-        p = exponent
         inner = lambda xi: _rat_high(beta * xi)
         bracket = complete_K(MOD_HIGH) / beta
         printed = inverse_cn(2.0 - SQRT3, MOD_HIGH) / beta
@@ -310,7 +325,6 @@ def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormPr
         beta = (1 - n) * (-3 * SQRT3 * a * a * g
                           / (2 * b ** 3 * n ** 3 * (n + 1) * (5 * n - 1) ** 2)) ** (1.0 / 6)
         exponent = 2.0 / (1 - n)
-        p = 4.0 / (1 - n)  # double zero of the inner fraction
         inner = lambda xi: _rat_low(beta * xi)
         bracket = complete_K(MOD_LOW) / beta
         printed = 2.0 * complete_K(MOD_LOW) / beta
@@ -324,7 +338,6 @@ def _resolve(family: FamilyId, params: EquationParams, g: float) -> ClosedFormPr
         beta = (n - 1) * (3 * SQRT3 * a * a * g
                           / (2 * b ** 3 * n ** 3 * (n + 1) * (5 * n - 1) ** 2)) ** (1.0 / 6)
         exponent = 2.0 / (n - 1)
-        p = exponent
         inner = lambda xi: _rat_high(beta * xi)
         bracket = complete_K(MOD_HIGH) / beta
         printed = inverse_cn(2.0 - SQRT3, MOD_HIGH) / beta
@@ -358,13 +371,15 @@ def _rat_high(s):
 
 
 _DOUBLE_ZERO = (FamilyId.RATCN1, FamilyId.RATCN2, FamilyId.RATCN4, FamilyId.RATCN5)
+#: steps of half an analytic quarter-period that ``first_zero`` scans
+_SCAN_STEPS = 40
 
 
 def first_zero(profile: ClosedFormProfile) -> float:
     """Smallest xi > 0 where the uncut inner expression reaches zero.
 
-    Scans analytic quarter-period steps for a sign change of the
-    locator function and refines it to relative 1e-12.  The locator is
+    Scans up to 20 analytic quarter-periods in half steps for a sign
+    change of the locator function and refines it to relative 1e-12.  The locator is
     the inner expression itself except for the rational-cn families
     whose inner touches zero quadratically; those use the sign change of
     sn at the same point.
@@ -379,7 +394,7 @@ def first_zero(profile: ClosedFormProfile) -> float:
             f"{profile.family.value}: inner expression not positive at the "
             "center; a resolved constant is wrong"
         )
-    for k in range(1, 41):
+    for _ in range(_SCAN_STEPS):
         hi = lo + step
         fhi = float(f(hi))
         if fhi <= 0.0:
@@ -388,7 +403,7 @@ def first_zero(profile: ClosedFormProfile) -> float:
         lo, flo = hi, fhi
     raise ProcedureRejection(
         f"{profile.family.value}: no zero of the inner expression within "
-        "10 analytic quarter-periods; a resolved constant is wrong"
+        f"{_SCAN_STEPS // 2} analytic quarter-periods; a resolved constant is wrong"
     )
 
 

@@ -7,12 +7,12 @@ inequality regimes and three equality regimes that additionally pin the
 endpoint amplitude U0).  Strong (classical) solutions need p > 3 for K
 and p > 4 for KP.
 
-Besides the pointwise predicates, this module reproduces the full
-existence table of the fourteen catalog families as exact rational
-intervals.  Every interval endpoint follows from the fact that, with
-p and m linear-fractional in the family's free power, each predicate
-reduces to a linear inequality in that power, solvable exactly over
-``fractions.Fraction``.
+The six conditions are one table of inequalities in (p, m, n).
+``weak_KP_case`` evaluates it in floats.  For the fourteen catalog
+families, with m and p linear and linear-fractional in the family's free
+power, each inequality is solved exactly over ``fractions.Fraction``;
+the existence table, ``classify_family`` and ``region_grid`` all read
+their verdicts from those regions at the exact value of the input float.
 
 Two deliberate layers exist for the weak-KP column:
 
@@ -30,12 +30,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .catalog import FamilyId, admissible_interval, family_m
+from .catalog import _FAMILIES, FamilyId, _require_nonzero_g
 from .params import InvalidParameters
 
 __all__ = [
@@ -70,18 +72,16 @@ def weak_K_ok(p: float, n: float) -> bool:
     """Weak K(m,n) admissibility: p > 2/n, strict."""
     if not (p > 0 and n > 0):
         raise InvalidParameters(f"p and n must be positive, got p={p}, n={n}")
-    return p > 2.0 / n
+    return _WEAK_K.holds(p, None, n)
 
 
 def strong_ok(p: float, kind: str) -> bool:
     """Strong admissibility: p > 3 for K, p > 4 for KP, strict."""
     if not p > 0:
         raise InvalidParameters(f"p must be positive, got {p}")
-    if kind == "K":
-        return p > 3.0
-    if kind == "KP":
-        return p > 4.0
-    raise InvalidParameters(f"kind must be 'K' or 'KP', got {kind!r}")
+    if kind not in _STRONG:
+        raise InvalidParameters(f"kind must be 'K' or 'KP', got {kind!r}")
+    return _STRONG[kind].holds(p, None, None)
 
 
 def _isclose(x: float, y: float) -> bool:
@@ -104,6 +104,89 @@ def case56_amplitude(m: float, n: float, a: float, b: float) -> float | None:
     return base ** (1.0 / (n - m))
 
 
+#: float test of each relation; "==" has the tolerance a measured p or U0 needs
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+            "<=": operator.le, "==": _isclose}
+
+# linear forms c_m*m + c_n*n + c_1 in the powers, as (c_m, c_n, c_1)
+_M, _N, _ONE = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def _value(form: tuple, m: float, n: float) -> float:
+    return sum(c * v for c, v in zip(form, (m, n, 1)) if c)
+
+
+@dataclass(frozen=True)
+class _Atom:
+    """``lhs rel rhs`` between linear forms in (m, n), or ``p rel k/rhs``
+    when ``lhs`` is None; such a divisor ``rhs`` is positive wherever the
+    atoms before it in its condition hold."""
+
+    lhs: tuple | None
+    rel: str
+    rhs: tuple
+    k: int = 1
+
+    def holds(self, p: float, m: float, n: float) -> bool:
+        if self.lhs is None:
+            return _COMPARE[self.rel](p, self.k / _value(self.rhs, m, n))
+        return _COMPARE[self.rel](_value(self.lhs, m, n), _value(self.rhs, m, n))
+
+
+def _p(rel: str, k: int, rhs: tuple) -> _Atom:
+    return _Atom(None, rel, rhs, k)
+
+
+def _lin(lhs: tuple, rel: str, rhs: tuple) -> _Atom:
+    return _Atom(lhs, rel, rhs)
+
+
+@dataclass(frozen=True)
+class _Condition:
+    case: int
+    g_zero: bool                 # holds only for g = 0; otherwise only for g != 0
+    atoms: tuple[_Atom, ...]
+    reason: str
+    #: equality cases: the published endpoint amplitude U0(m, n, a, b, g)
+    amplitude: Callable | None = None
+    #: equality cases: the atoms under which a catalog profile's endpoint
+    #: amplitude is ``amplitude``; None: on the whole domain of the
+    #: families the catalog marks ``case6``
+    catalog_identity: tuple[_Atom, ...] | None = None
+
+
+_WEAK_K = _p(">", 2, _N)
+_STRONG = {"K": _p(">", 3, _ONE), "KP": _p(">", 4, _ONE)}
+
+_P_IS_2_OVER_N_MINUS_M = _p("==", 2, (-1, 1, 0))
+_CONDITIONS = (
+    _Condition(1, True, (_p(">", 1, _M), _p(">", 3, _N)), "p > max(1/m, 3/n)"),
+    _Condition(2, False, (_lin(_M, "<", _ONE), _p(">", 1, _M), _p(">", 3, _N)),
+               "p > max(1/m, 3/n)"),
+    _Condition(3, False, (_lin(_M, ">", _ONE), _p(">", 1, _ONE), _p(">", 3, _N)),
+               "p > max(1, 3/n)"),
+    _Condition(4, False, (_p("<=", 1, _ONE), _lin(_N, ">=", (0, 0, 3)),
+                          _lin((2, 0, 1), ">", _N), _p("==", 2, (0, 1, -1))),
+               "n = 3 equality point",
+               amplitude=lambda m, n, a, b, g: case4_amplitude(n, b, g),
+               # the published amplitude matches the forced one only at n = 3
+               catalog_identity=(_lin(_N, "==", (0, 0, 3)),)),
+    _Condition(5, True, (_lin(_N, ">", _M), _P_IS_2_OVER_N_MINUS_M,
+                         _lin(_N, ">=", (3, 0, 0))),
+               "p = 2/(n-m) with the forced endpoint amplitude",
+               amplitude=lambda m, n, a, b, g: case56_amplitude(m, n, a, b)),
+    _Condition(6, False, (_lin(_N, ">", _M), _P_IS_2_OVER_N_MINUS_M,
+                          _lin(_N, ">=", (3, 0, 0)), _lin((1, 0, 2), ">", _N)),
+               "p = 2/(n-m) with the forced endpoint amplitude",
+               amplitude=lambda m, n, a, b, g: case56_amplitude(m, n, a, b)),
+)
+
+#: families whose endpoint amplitude provably satisfies the case-5/6
+#: identity U0 = (-a(n-m)^2 / (2bn(n+m)))^(1/(n-m)) together with
+#: p = 2/(n-m); verified numerically in the test suite
+CASE6_FAMILIES = frozenset(f for f, fam in _FAMILIES.items() if fam.case6)
+
+
 def weak_KP_case(p: float, m: float, n: float, g: float, a: float, b: float,
                  U0: float | None = None) -> int | None:
     """Lowest-numbered satisfied weak-KP condition, or None.
@@ -117,25 +200,15 @@ def weak_KP_case(p: float, m: float, n: float, g: float, a: float, b: float,
         raise InvalidParameters(
             f"require p>0, n>0, m>0, m != 1; got p={p}, m={m}, n={n}"
         )
-    big = p > max(1.0 / m, 3.0 / n)
-    if big and g == 0:
-        return 1
-    if big and m < 1 and g != 0:
-        return 2
-    if p > max(1.0, 3.0 / n) and m > 1 and g != 0:
-        return 3
-    if (p <= 1 and n >= 3 and 2 * m + 1 > n and g != 0
-            and _isclose(p, 2.0 / (n - 1)) and U0 is not None):
-        u = case4_amplitude(n, b, g)
-        if u is not None and _isclose(U0, u):
-            return 4
-    if n > m and _isclose(p, 2.0 / (n - m)) and U0 is not None:
-        u = case56_amplitude(m, n, a, b)
-        if u is not None and _isclose(U0, u):
-            if n >= 3 * m and g == 0:
-                return 5
-            if m + 2 > n >= 3 * m and g != 0:
-                return 6
+    for cond in _CONDITIONS:
+        if cond.g_zero != (g == 0) or not all(at.holds(p, m, n) for at in cond.atoms):
+            continue
+        if cond.amplitude is None:
+            return cond.case
+        if U0 is not None:
+            u = cond.amplitude(m, n, a, b, g)
+            if u is not None and _isclose(U0, u):
+                return cond.case
     return None
 
 
@@ -158,11 +231,8 @@ class Interval:
     hi_open: bool = True
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.lo or (x == self.lo and self.lo_open):
-            return False
-        if self.hi is not None and (x > self.hi or (x == self.hi and self.hi_open)):
-            return False
-        return True
+        above = x > self.lo if self.lo_open else x >= self.lo
+        return above and (self.hi is None or (x < self.hi if self.hi_open else x <= self.hi))
 
     def __str__(self) -> str:
         lo = "(" if self.lo_open else "["
@@ -207,13 +277,13 @@ def _union_adjacent(x: Interval | None, y: Interval | None) -> Interval | None:
 
 
 def _linear_region(c: Fraction, d: Fraction, strict: bool,
-                   domain: Interval) -> Interval | None:
+                   domain: Interval | None) -> Interval | None:
     """Solve c*x + d > 0 (or >= 0) intersected with the domain."""
     if c == 0:
         if d > 0 or (d == 0 and not strict):
             return domain
         return None
-    bound = -d / c
+    bound = Fraction(-d) / c
     if c > 0:
         half = Interval(bound, None, lo_open=strict)
     else:
@@ -221,138 +291,82 @@ def _linear_region(c: Fraction, d: Fraction, strict: bool,
     return _intersect(half, domain)
 
 
-# family algebra: the free power x, with
-#   n(x) = nc*x + n0,   m(x) = mc*x + m0,   p(x) = P / (dc*x + d0),
-# denominator positive on the admissible domain.
-@dataclass(frozen=True)
-class _Algebra:
-    var: str
-    domain: Interval
-    nc: Fraction
-    n0: Fraction
-    mc: Fraction
-    m0: Fraction
-    P: Fraction
-    dc: Fraction
-    d0: Fraction
-
-    def p_of(self, x: float) -> float:
-        return float(self.P) / (float(self.dc) * x + float(self.d0))
+def _linear(form: tuple, fam) -> tuple:
+    """(c, d) with form(m(x), n(x)) = c*x + d in the family's free power x."""
+    c = d = 0
+    n_of_x = (1, 0) if fam.var == "n" else (0, 1)
+    for coef, (xc, x0) in zip(form, (fam.m, n_of_x, (0, 1))):
+        if coef:
+            c, d = c + coef * xc, d + coef * x0
+    return c, d
 
 
-def _alg(domain, m_lin, P, den, var="n", n_lin=(1, 0)) -> _Algebra:
-    F = Fraction
-    return _Algebra(var=var, domain=domain,
-                    nc=F(n_lin[0]), n0=F(n_lin[1]),
-                    mc=F(m_lin[0]), m0=F(m_lin[1]),
-                    P=F(P), dc=F(den[0]), d0=F(den[1]))
+def _region(atoms: tuple[_Atom, ...], fam, region: Interval | None) -> Interval | None:
+    """The part of ``region`` where every atom holds, exactly."""
+    for atom in atoms:
+        c, d = _linear(atom.rhs, fam)
+        if atom.lhs is None:
+            # p rel k/rhs  <=>  P*rhs(x) rel k*(dc*x + d0), both divisors > 0
+            P, dc, d0 = fam.p
+            c, d = P * c - atom.k * dc, P * d - atom.k * d0
+        else:
+            lc, ld = _linear(atom.lhs, fam)
+            c, d = lc - c, ld - d
+        # now the atom reads c*x + d rel 0
+        for rel in ("<=", ">=") if atom.rel == "==" else (atom.rel,):
+            sign = -1 if rel[0] == "<" else 1
+            region = _linear_region(sign * c, sign * d, len(rel) == 1, region)
+    return region
 
 
-_F = Fraction
-_ALGEBRA: dict[FamilyId, _Algebra] = {
-    # m = (n+1)/2, p = 2/(n-1)
-    FamilyId.ZSQ1: _alg(Interval(_F(1), None), (_F(1, 2), _F(1, 2)), 2, (1, -1)),
-    # m = 2-n, p = 1/(n-1)
-    FamilyId.ZSQ2: _alg(Interval(_F(1), _F(2)), (-1, 2), 1, (1, -1)),
-    # m = n, p = 2/(n-1)
-    FamilyId.COS1: _alg(Interval(_F(1), None), (1, 0), 2, (1, -1)),
-    # free power is m itself, n = 1, p = 2/(1-m)
-    FamilyId.COS2: _alg(Interval(_F(0), _F(1)), (1, 0), 2, (-1, 1),
-                        var="m", n_lin=(0, 1)),
-    # m = 2n-1, p = 2/(1-n)
-    FamilyId.CN1: _alg(Interval(_F(1, 2), _F(1)), (2, -1), 2, (-1, 1)),
-    # m = 2n-1, p = 2/(n-1)
-    FamilyId.CN2: _alg(Interval(_F(1), None), (2, -1), 2, (1, -1)),
-    FamilyId.SN1: _alg(Interval(_F(1, 2), _F(1)), (2, -1), 2, (-1, 1)),
-    FamilyId.SN2: _alg(Interval(_F(1), None), (2, -1), 2, (1, -1)),
-    # m = 3n-2, p = 2/(n-1)
-    FamilyId.RATCN1: _alg(Interval(_F(1), None), (3, -2), 2, (1, -1)),
-    FamilyId.RATCN2: _alg(Interval(_F(1), None), (3, -2), 2, (1, -1)),
-    # m = 3n-2, p = 1/(1-n)
-    FamilyId.RATCN3: _alg(Interval(_F(2, 3), _F(1)), (3, -2), 1, (-1, 1)),
-    # m = (3n-1)/2, p = 4/(1-n)
-    FamilyId.RATCN4: _alg(Interval(_F(1, 3), _F(1)), (_F(3, 2), _F(-1, 2)), 4, (-1, 1)),
-    FamilyId.RATCN5: _alg(Interval(_F(1, 3), _F(1)), (_F(3, 2), _F(-1, 2)), 4, (-1, 1)),
-    # m = (3n-1)/2, p = 2/(n-1)
-    FamilyId.RATCN6: _alg(Interval(_F(1), None), (_F(3, 2), _F(-1, 2)), 2, (1, -1)),
-}
-
-#: families whose endpoint amplitude provably satisfies the case-5/6
-#: identity U0 = (-a(n-m)^2 / (2bn(n+m)))^(1/(n-m)) together with
-#: p = 2/(n-m); verified numerically in the test suite
-CASE6_FAMILIES = frozenset({
-    FamilyId.ZSQ2, FamilyId.COS2, FamilyId.CN1, FamilyId.SN1,
-    FamilyId.RATCN3, FamilyId.RATCN4, FamilyId.RATCN5,
-})
-
-#: families whose published weak-KP range is unbounded above although
-#: the six conditions, taken literally, stop at n = 3
-_PUBLISHED_WEAK_KP_OVERRIDE = frozenset({
-    FamilyId.RATCN1, FamilyId.RATCN2, FamilyId.RATCN6,
-})
+def _derive(fam) -> dict:
+    """Exact regions of one family's free power: its domain, the four
+    columns of the existence table, and the region of each weak-KP
+    condition open to a catalog profile (all need g != 0), in case order."""
+    domain = Interval(*fam.domain)
+    cases, weak_KP = [], None
+    for cond in _CONDITIONS:
+        atoms = cond.atoms
+        if cond.amplitude is not None:
+            if cond.catalog_identity is None and not fam.case6:
+                continue
+            atoms += cond.catalog_identity or ()
+        region = None if cond.g_zero else _region(atoms, fam, domain)
+        if region is None:
+            continue
+        cases.append((cond, region))
+        # an isolated equality point (case 4 at n = 3) is reported by
+        # classify_family, but the published table keeps the interval
+        # open there, so it is not widened into the interval
+        if region.hi is None or region.lo < region.hi:
+            weak_KP = _union_adjacent(weak_KP, region)
+    return {"param": fam.var, "weak_K": _region((_WEAK_K,), fam, domain),
+            "strong_K": _region((_STRONG["K"],), fam, domain), "weak_KP": weak_KP,
+            "strong_KP": _region((_STRONG["KP"],), fam, domain),
+            "domain": domain, "cases": cases}
 
 
-def _weak_K_region(al: _Algebra) -> Interval | None:
-    # p > 2/n  <=>  P*n(x) - 2*den(x) > 0
-    return _linear_region(al.P * al.nc - 2 * al.dc,
-                          al.P * al.n0 - 2 * al.d0, True, al.domain)
+#: the derived regions of every catalog family, a constant table
+_REGIONS = {family: _derive(fam) for family, fam in _FAMILIES.items()}
+_COLUMNS = ("param", "weak_K", "strong_K", "weak_KP", "strong_KP")
 
 
-def _strong_region(al: _Algebra, threshold: int) -> Interval | None:
-    # p > t  <=>  P - t*den(x) > 0
-    return _linear_region(-threshold * al.dc, al.P - threshold * al.d0,
-                          True, al.domain)
-
-
-def _weak_KP_raw_region(family: FamilyId) -> Interval | None:
-    al = _ALGEBRA[family]
-    # m > 1 or m < 1 holds family-wide on each domain; decide by midpoint
-    mid = al.domain.lo + 1 if al.domain.hi is None \
-        else (al.domain.lo + al.domain.hi) / 2
-    m_mid = al.mc * mid + al.m0
-    pieces: list[Interval | None] = []
-    if m_mid > 1:
-        # case 3: p > 1 and p > 3/n
-        r = _linear_region(-al.dc, al.P - al.d0, True, al.domain)
-        r = _intersect(r, _linear_region(al.P * al.nc - 3 * al.dc,
-                                         al.P * al.n0 - 3 * al.d0, True, al.domain))
-        pieces.append(r)
-        # case 4 would add only the single boundary point n = 3 (where
-        # the published amplitude expression coincides with the forced
-        # one); the published table keeps the interval open there, so
-        # the point is reported by classify_family but not widened into
-        # the interval
-    else:
-        # case 2: p > 1/m and p > 3/n
-        r = _linear_region(al.P * al.mc - al.dc, al.P * al.m0 - al.d0,
-                           True, al.domain)
-        r = _intersect(r, _linear_region(al.P * al.nc - 3 * al.dc,
-                                         al.P * al.n0 - 3 * al.d0, True, al.domain))
-        pieces.append(r)
-        if family in CASE6_FAMILIES:
-            # case 6: n >= 3m and m + 2 > n (p = 2/(n-m) holds identically)
-            r6 = _linear_region(al.nc - 3 * al.mc, al.n0 - 3 * al.m0,
-                                False, al.domain)
-            r6 = _intersect(r6, _linear_region(al.mc - al.nc, al.m0 - al.n0 + 2,
-                                               True, al.domain))
-            pieces.append(r6)
-    out: Interval | None = None
-    for piece in pieces:
-        out = _union_adjacent(out, piece) if out is not None else piece
-    return out
+def _verdicts(regions: dict, x: float) -> tuple[dict, _Condition | None]:
+    """The four flags at the exact rational value of x, and the
+    lowest-numbered weak-KP condition holding there."""
+    q = Fraction(x) if math.isfinite(x) else None
+    holds = lambda region: q is not None and region is not None and region.contains(q)
+    cond = next((c for c, region in regions["cases"] if holds(region)), None)
+    return {"weak_K": holds(regions["weak_K"]),
+            "strong_K": holds(regions["strong_K"]),
+            "weak_KP_case": None if cond is None else cond.case,
+            "strong_KP": holds(regions["strong_KP"])}, cond
 
 
 def raw_theorem_intervals(family: FamilyId) -> dict[str, Interval | None]:
     """Existence intervals derived strictly from the admissibility
     conditions, without the published weak-KP overrides."""
-    al = _ALGEBRA[family]
-    return {
-        "param": al.var,  # type: ignore[dict-item]
-        "weak_K": _weak_K_region(al),
-        "strong_K": _strong_region(al, 3),
-        "weak_KP": _weak_KP_raw_region(family),
-        "strong_KP": _strong_region(al, 4),
-    }
+    return {col: _REGIONS[family][col] for col in _COLUMNS}
 
 
 def table1_intervals(family: FamilyId) -> dict[str, Interval | None]:
@@ -362,8 +376,8 @@ def table1_intervals(family: FamilyId) -> dict[str, Interval | None]:
     column of RATCN1/RATCN2/RATCN6 is the published unbounded range.
     """
     row = raw_theorem_intervals(family)
-    if family in _PUBLISHED_WEAK_KP_OVERRIDE:
-        row["weak_KP"] = _ALGEBRA[family].domain
+    if _FAMILIES[family].published_weak_KP:
+        row["weak_KP"] = _REGIONS[family]["domain"]
     return row
 
 
@@ -372,62 +386,49 @@ def classify_family(family: FamilyId, n: float | None = None,
                     g: float = 1.0) -> ExistenceReport:
     """Full existence report for one catalog family at a parameter point.
 
-    The equality cases 4-6 are decided through the analytically known
+    Every verdict is the membership of the exact rational value of the
+    free power in the family's derived regions; the weak-KP verdict is
+    the lowest-numbered condition whose region holds it.  The equality
+    cases 4-6 are decided through the analytically known
     endpoint-amplitude identities of the families rather than a numeric
-    U0 extraction, so the verdict carries no fitting noise.
+    U0 extraction, so the verdict carries no fitting noise.  The signs
+    of a and b are not checked; g = 0 is rejected, as no catalog
+    profile exists there.
     """
-    al = _ALGEBRA[family]
-    if al.var == "m":
-        if m is None:
-            raise InvalidParameters(f"{family.value} is parameterized by m")
-        x = float(m)
-        n_val, m_val = 1.0, x
-    else:
-        if n is None:
-            raise InvalidParameters(f"{family.value} is parameterized by n")
-        x = float(n)
-        n_val, m_val = x, family_m(family, x)
-    lo, hi = float(al.domain.lo), al.domain.hi
-    if not (x > lo and (hi is None or x < float(hi))):
+    _require_nonzero_g(family, float(g))
+    fam = _FAMILIES[family]
+    x = m if fam.var == "m" else n
+    if x is None:
+        raise InvalidParameters(f"{family.value} is parameterized by {fam.var}")
+    x = float(x)
+    regions = _REGIONS[family]
+    if not (math.isfinite(x) and regions["domain"].contains(Fraction(x))):
         raise InvalidParameters(
-            f"{family.value}: {al.var} = {x} outside the admissible range "
-            f"{al.domain}"
+            f"{family.value}: {fam.var} = {x} outside the admissible range "
+            f"{regions['domain']}"
         )
-    p = al.p_of(x)
-    reasons: list[str] = []
-    wk = weak_K_ok(p, n_val)
-    reasons.append(f"weak K: p = {p:.6g} {'>' if wk else '<='} 2/n = {2/n_val:.6g}")
-    sk = strong_ok(p, "K")
-    skp = strong_ok(p, "KP")
+    flags, cond = _verdicts(regions, x)
+    p, m_val = fam.p_of(x), fam.m_of(x)
+    n_val = 1.0 if fam.var == "m" else x
+    wk = flags["weak_K"]
+    reasons = [f"weak K: p = {p:.6g} {'>' if wk else '<='} 2/n = {2 / n_val:.6g}"]
     u0 = None
-    case: int | None = None
-    if m_val > 1 and p > max(1.0, 3.0 / n_val) and g != 0:
-        case = 3
-        reasons.append(f"weak KP case 3: p > max(1, 3/n) = {max(1.0, 3/n_val):.6g}")
-    elif m_val < 1 and p > max(1.0 / m_val, 3.0 / n_val) and g != 0:
-        case = 2
-        reasons.append(
-            f"weak KP case 2: p > max(1/m, 3/n) = {max(1/m_val, 3/n_val):.6g}")
-    elif (family in CASE6_FAMILIES and n_val >= 3 * m_val
-          and m_val + 2 > n_val and g != 0):
-        case = 6
-        u0 = case56_amplitude(m_val, n_val, a, b)
-        reasons.append(
-            "weak KP case 6: p = 2/(n-m) with the forced endpoint amplitude")
-    elif (m_val > 1 and _isclose(p, 2.0 / (n_val - 1)) and p <= 1
-          and _isclose(n_val, 3.0) and 2 * m_val + 1 > n_val and g != 0):
-        # the published case-4 amplitude matches the forced one only at n = 3
-        case = 4
-        u0 = case4_amplitude(n_val, b, g)
-        reasons.append("weak KP case 4: n = 3 equality point")
-    if case is None:
+    if cond is None:
         reasons.append("weak KP: no admissibility condition satisfied")
-        if family in _PUBLISHED_WEAK_KP_OVERRIDE and wk:
+        if fam.published_weak_KP and wk:
             reasons.append(
                 "note: the published table lists this family's weak-KP range "
                 "as unbounded; the conditions taken literally stop at n = 3")
-    return ExistenceReport(p=p, weak_K=wk, strong_K=sk, weak_KP=case,
-                           strong_KP=skp, U0_constraint=u0,
+    elif cond.amplitude is None:
+        bound = max(at.k / _value(at.rhs, m_val, n_val)
+                    for at in cond.atoms if at.lhs is None)
+        reasons.append(f"weak KP case {cond.case}: {cond.reason} = {bound:.6g}")
+    else:
+        u0 = cond.amplitude(m_val, n_val, a, b, g)
+        reasons.append(f"weak KP case {cond.case}: {cond.reason}")
+    return ExistenceReport(p=p, weak_K=wk, strong_K=flags["strong_K"],
+                           weak_KP=flags["weak_KP_case"],
+                           strong_KP=flags["strong_KP"], U0_constraint=u0,
                            reasons=tuple(reasons))
 
 
@@ -441,26 +442,14 @@ def region_grid(family: FamilyId, n_min: float, n_max: float,
     """
     if steps < 2:
         raise InvalidParameters(f"steps must be at least 2, got {steps}")
-    al = _ALGEBRA[family]
+    if not (math.isfinite(n_min) and math.isfinite(n_max)):
+        raise InvalidParameters(f"sweep bounds must be finite, got {n_min}, {n_max}")
+    fam, regions = _FAMILIES[family], _REGIONS[family]
     rows = []
     for x in np.linspace(float(n_min), float(n_max), steps):
         x = float(x)
-        lo, hi = float(al.domain.lo), al.domain.hi
-        inside = x > lo and (hi is None or x < float(hi))
-        if inside:
-            rep = classify_family(family, **{al.var: x})
-            m_val = x if al.var == "m" else family_m(family, x)
-            n_val = 1.0 if al.var == "m" else x
-            rows.append({"m": m_val, "n": n_val, "weak_K": rep.weak_K,
-                         "strong_K": rep.strong_K,
-                         "weak_KP_case": rep.weak_KP,
-                         "strong_KP": rep.strong_KP})
-        else:
-            m_val = x if al.var == "m" else family_m(family, x)
-            n_val = 1.0 if al.var == "m" else x
-            rows.append({"m": m_val, "n": n_val, "weak_K": False,
-                         "strong_K": False, "weak_KP_case": None,
-                         "strong_KP": False})
+        rows.append({"m": fam.m_of(x), "n": 1.0 if fam.var == "m" else x,
+                     **_verdicts(regions, x)[0]})
     return rows
 
 

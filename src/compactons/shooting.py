@@ -44,18 +44,15 @@ __all__ = [
     "concavity_check",
     "half_width_quadrature",
     "shoot",
-    "energy_residual",
 ]
 
 
 @dataclass(frozen=True)
 class ReducedCoefficients:
-    """Coefficients of the first integral; E and C vanish for compactons."""
+    """Coefficients of the first integral V'**2 = B V**(1+1/n) - A V**(1+m/n)."""
 
     A: float
     B: float
-    E: float = 0.0
-    C: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -334,9 +331,3 @@ def _cutoff_residuals(v_of_xi, V0: float, L: float,
     return (abs(f[0]) / V0,
             abs(float(d1)) / (V0 / L),
             abs(float(d2)) / (V0 / L ** 2))
-
-
-def energy_residual(nc: NumericCompacton, coeffs: ReducedCoefficients,
-                    params: EquationParams) -> float:
-    """Maximum first-integral violation recorded along the shoot."""
-    return nc.energy_residual_max

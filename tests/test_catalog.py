@@ -1,5 +1,6 @@
 """Closed-form family construction, evaluation, and serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -130,6 +131,13 @@ class TestProfiles:
         eps = 1e-7 * prof.L
         assert evaluate(prof, prof.L - eps) > 0.0
         assert first_zero(prof) == pytest.approx(prof.L, rel=1e-13)
+
+    def test_first_zero_scan_limit_message(self):
+        prof = construct(FamilyId.COS1, n=2)
+        never_zero = dataclasses.replace(prof, _locator=lambda xi: 1.0)
+        with pytest.raises(ProcedureRejection,
+                           match="within 20 analytic quarter-periods"):
+            first_zero(never_zero)
 
     @pytest.mark.parametrize("family",
                              [f for f in ALL_FAMILIES if f is not FamilyId.COS2],

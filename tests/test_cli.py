@@ -94,6 +94,18 @@ class TestClassify:
         assert data["weak_K"] is True and data["strong_K"] is False
         assert data["weak_KP_case"] == 3
 
+    def test_zero_g_exit_3(self, capsys):
+        code = main(["classify", "--family", "zsq1", "--n", "2", "--g", "0"])
+        assert code == EXIT_REJECTED
+        assert "g = 0" in capsys.readouterr().err
+
+    def test_next_float_above_lower_endpoint(self, capsys):
+        # m = (3n - 1)/2 rounds to zero here
+        code = main(["classify", "--family", "ratcn4",
+                     "--n", "0.33333333333333337", "--b", "-1"])
+        assert code == EXIT_OK
+        assert "weak KP     yes (condition 6)" in capsys.readouterr().out
+
 
 class TestSolve:
     def test_fig5_left(self, tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Existence classification, interval tables, and region sweeps."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from compactons import catalog
-from compactons.catalog import FamilyId, construct, evaluate, family_m
+from compactons.catalog import FamilyId, admissible_interval, construct, evaluate, family_m
 from compactons.existence import (
     CASE6_FAMILIES,
     Interval,
@@ -19,7 +21,7 @@ from compactons.existence import (
     weak_K_ok,
     weak_KP_case,
 )
-from compactons.params import InvalidParameters
+from compactons.params import InvalidParameters, ProcedureRejection
 
 from conftest import DRAWS
 
@@ -150,6 +152,12 @@ class TestClassifyFamily:
         assert rep.weak_K and rep.weak_KP is None
         assert any("published" in r for r in rep.reasons)
 
+    def test_zero_g_rejected(self):
+        # weak_KP_case gives case 1 at g = 0, but no catalog profile exists there
+        assert weak_KP_case(2.0, 1.5, 2.0, 0.0, 1.0, 1.0) == 1
+        with pytest.raises(ProcedureRejection):
+            classify_family(FamilyId.ZSQ1, n=2, g=0)
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameters):
             classify_family(FamilyId.ZSQ1)          # missing n
@@ -198,6 +206,52 @@ class TestClassifyFamily:
             assert rep.strong_KP == iv["strong_KP"].contains(x)
             # the verdict follows the raw derivation of the conditions
             assert (rep.weak_KP is not None) == raw["weak_KP"].contains(x)
+
+
+def _boundaries(family):
+    """Rational values of the free power where a verdict may change:
+    every endpoint of every column, n = 3 and n = 3m."""
+    raw = raw_theorem_intervals(family)
+    points = {end for col in ("weak_K", "strong_K", "weak_KP", "strong_KP")
+              if raw[col] is not None
+              for end in (raw[col].lo, raw[col].hi) if end is not None}
+    if raw["param"] == "m":
+        points.add(Fraction(1, 3))             # COS2 has n = 1
+    else:
+        points.add(Fraction(3))
+        # m(n) is linear with dyadic coefficients, exact in floats
+        m0 = Fraction(family_m(family, 0.0))
+        mc = Fraction(family_m(family, 1.0)) - m0
+        if 3 * mc != 1:
+            points.add(3 * m0 / (1 - 3 * mc))
+    return sorted(points)
+
+
+class TestEndpoints:
+    @pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+    def test_flags_exact_next_to_every_boundary(self, family):
+        raw = raw_theorem_intervals(family)
+        var = raw["param"]
+        for end in _boundaries(family):
+            x0 = float(end)
+            for x in (math.nextafter(x0, -math.inf), x0, math.nextafter(x0, math.inf)):
+                try:
+                    rep = classify_family(family, **{var: x})
+                except InvalidParameters:
+                    _, lo, hi = admissible_interval(family)
+                    assert not (lo < x and (hi is None or x < hi)), x
+                    continue
+                q = Fraction(x)
+                for col, flag in (("weak_K", rep.weak_K), ("strong_K", rep.strong_K),
+                                  ("strong_KP", rep.strong_KP)):
+                    assert flag == (raw[col] is not None and raw[col].contains(q)), \
+                        (col, x)
+                if var == "n" and x == 3:
+                    # the case-4 equality point, which the published
+                    # interval leaves open
+                    assert rep.weak_KP == 4 and not raw["weak_KP"].contains(q)
+                else:
+                    assert (rep.weak_KP is not None) == raw["weak_KP"].contains(q), x
 
 
 class TestForcedAmplitudeIdentity:
@@ -250,6 +304,11 @@ class TestRegionGrid:
     def test_steps_validation(self):
         with pytest.raises(InvalidParameters):
             region_grid(FamilyId.COS1, 1.1, 2.0, 1)
+
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_non_finite_bounds_rejected(self, bound):
+        with pytest.raises(InvalidParameters):
+            region_grid(FamilyId.COS1, 1.1, bound, 5)
 
 
 class TestInterval:

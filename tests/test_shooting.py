@@ -14,7 +14,6 @@ from compactons.shooting import (
     center_amplitude,
     coefficients,
     concavity_check,
-    energy_residual,
     half_width_quadrature,
     shoot,
 )
@@ -29,7 +28,6 @@ class TestReduction:
         # A = 2na/((m+n)b), B = 2ng/((n+1)b)
         assert c.A == pytest.approx(2 * 2 / (2.25 + 2), rel=1e-15)
         assert c.B == pytest.approx(2 * 2 / 3, rel=1e-15)
-        assert c.E == 0.0 and c.C == 0.0
 
     def test_zero_g_rejected(self):
         with pytest.raises(ProcedureRejection):
@@ -131,11 +129,6 @@ class TestShoot:
         scale = abs(coefficients(FIG5_LEFT, 1.0).B) \
             * nc_bad.V0 ** (1 + 1 / FIG5_LEFT.n)
         assert nc_bad.energy_residual_max / scale > 1e-1
-
-    def test_energy_residual_accessor(self):
-        nc = shoot(FIG5_LEFT, 1.0)
-        c = coefficients(FIG5_LEFT, 1.0)
-        assert energy_residual(nc, c, FIG5_LEFT) == nc.energy_residual_max
 
     def test_tolerance_override(self):
         tol = ShootTolerances(rtol=1e-8, grid_points=201)
