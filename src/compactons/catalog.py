@@ -98,6 +98,9 @@ class _Family:
     p: tuple[int, int, int]                     # (P, dc, d0)
     case6: bool = False               # endpoint amplitude forced by weak-KP cases 5/6
     published_weak_KP: bool = False   # published weak-KP range: the whole domain
+    # the inner fraction touches zero without a sign change (a double
+    # zero), so U ~ (L - |xi|)**(2*exponent): p = 2*exponent
+    double_zero: bool = False
 
     def m_of(self, x):
         return self.m[0] * x + self.m[1]
@@ -116,17 +119,16 @@ _FAMILIES: dict[FamilyId, _Family] = {
     FamilyId.CN2: _Family("n", (_F(1), None), _SAME, (2, -1), (2, 1, -1)),
     FamilyId.SN1: _Family("n", (_F(1, 2), _F(1)), _BFLIP, (2, -1), (2, -1, 1), case6=True),
     FamilyId.SN2: _Family("n", (_F(1), None), _SAME, (2, -1), (2, 1, -1)),
-    # the inner fractions of RATCN1/2/4/5 have a double zero: p = 2*exponent
     FamilyId.RATCN1: _Family("n", (_F(1), None), _SAME, (3, -2), (2, 1, -1),
-                             published_weak_KP=True),
+                             published_weak_KP=True, double_zero=True),
     FamilyId.RATCN2: _Family("n", (_F(1), None), _SAME, (3, -2), (2, 1, -1),
-                             published_weak_KP=True),
+                             published_weak_KP=True, double_zero=True),
     FamilyId.RATCN3: _Family("n", (_F(2, 3), _F(1)), _BFLIP, (3, -2), (1, -1, 1),
                              case6=True),
     FamilyId.RATCN4: _Family("n", (_F(1, 3), _F(1)), _BFLIP, (_F(3, 2), _F(-1, 2)),
-                             (4, -1, 1), case6=True),
+                             (4, -1, 1), case6=True, double_zero=True),
     FamilyId.RATCN5: _Family("n", (_F(1, 3), _F(1)), _BFLIP, (_F(3, 2), _F(-1, 2)),
-                             (4, -1, 1), case6=True),
+                             (4, -1, 1), case6=True, double_zero=True),
     FamilyId.RATCN6: _Family("n", (_F(1), None), _SAME, (_F(3, 2), _F(-1, 2)), (2, 1, -1),
                              published_weak_KP=True),
 }
@@ -344,7 +346,7 @@ def _resolve(family: FamilyId, params: EquationParams, g: float,
     else:  # pragma: no cover
         raise InvalidParameters(f"unknown family {family}")
 
-    if family in (FamilyId.RATCN1, FamilyId.RATCN2, FamilyId.RATCN4, FamilyId.RATCN5):
+    if _FAMILIES[family].double_zero:
         # the fraction touches zero without a sign change; locate its
         # critical point instead, which is a simple zero of sn
         locator = lambda xi: jacobi(beta * xi, MOD_LOW)[0]
@@ -370,7 +372,6 @@ def _rat_high(s):
     return (c + SQRT3 - 2.0) / (c + 1.0)
 
 
-_DOUBLE_ZERO = (FamilyId.RATCN1, FamilyId.RATCN2, FamilyId.RATCN4, FamilyId.RATCN5)
 #: steps of half an analytic quarter-period that ``first_zero`` scans
 _SCAN_STEPS = 40
 
@@ -387,7 +388,7 @@ def first_zero(profile: ClosedFormProfile) -> float:
     f = profile._locator
     step = profile._bracket_step / 2.0
     # skip the locator's trivial root at xi = 0 for the double-zero case
-    lo = step * 0.5 if profile.family in _DOUBLE_ZERO else 0.0
+    lo = step * 0.5 if _FAMILIES[profile.family].double_zero else 0.0
     flo = float(f(lo)) if lo > 0 else float(f(1e-12 * step))
     if flo <= 0:
         raise ProcedureRejection(

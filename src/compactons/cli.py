@@ -13,7 +13,8 @@ Exit codes: 0 success, 2 invalid parameters, 3 procedure rejection
 
 The environment variable COMPACTONS_OUTPUT_DIR sets the default output
 directory; a config file of key=value lines (--config) supplies defaults
-that explicit flags override.  All files are written atomically.
+that explicit flags override.  Regular files are written atomically,
+through symlinks; devices and FIFOs are written in place.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
-import tempfile
 from functools import partial
 
 from . import catalog, existence, shooting, weakform
@@ -42,10 +43,32 @@ _FAMILY_CHOICES = [f.value for f in catalog.FamilyId]
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write ``text`` to ``path``; readers see the old or the new file.
+
+    A symlink is written through: its resolved target is replaced and the
+    link kept.  An existing path that is not a regular file (a character
+    device, a FIFO) is written in place.  A replaced file keeps its mode;
+    a new one gets the mode the umask allows.
+    """
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.urandom(8).hex()}")
+    # O_EXCL: never write through something already at the temp name;
+    # 0o666 lets the umask decide a new file's mode, as open() does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

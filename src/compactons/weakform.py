@@ -15,6 +15,13 @@ power p.
 Residuals are reported scaled by the L1 size of the dispersive term
 b*U**n*phi''' (or phi''''), which makes a single tolerance meaningful
 across parameter regimes.
+
+Each residual and its scaling norm are integrated in one pass on shared
+nodes: every refinement level evaluates U once per node and both
+phi-derivatives from one bump table (mask, exp(-v) and the powers of y
+and v computed once, by multiplication), and forms both integrands from
+those arrays.  The two integrals keep separate stopping tests, so each
+stops exactly where it would if integrated alone.
 """
 
 from __future__ import annotations
@@ -88,22 +95,60 @@ def _bump_prefactors(max_order: int):
 _R = _bump_prefactors(_MAX_ORDER)
 
 
-def _bump_derivs(y: np.ndarray, order: int) -> np.ndarray:
-    """B^(order)(y), zero outside |y| < 1, safe against overflow of the
-    rational prefactor where the exponential has already underflowed."""
-    out = np.zeros_like(y)
+def _powers(base: np.ndarray, top: int) -> list[np.ndarray]:
+    """[base**0, ..., base**top] by repeated multiplication (numpy's ``**``
+    takes a slow scalar path for negative bases and exponents >= 3)."""
+    out = [np.ones_like(base)]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
+def _bump_derivs(y: np.ndarray, orders) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """B^(r)(y) for every r in ``orders``, from one table.
+
+    Returns the mask of points where B is representable and, per order,
+    the derivative on those points; it is zero elsewhere.  The mask, v,
+    exp(-v) and the powers of y and v are computed once and shared by
+    every order.  Masking keeps the rational prefactor from overflowing
+    where the exponential has already underflowed.
+    """
     v_inv = 1.0 - y * y
     mask = v_inv > 1.0 / 700.0  # exp(-v) underflows past this anyway
-    if not np.any(mask):
-        return out
     ym = y[mask]
     v = 1.0 / v_inv[mask]
     B = np.exp(-v)
-    acc = np.zeros_like(ym)
-    for (i, k), cf in _R[order].items():
-        acc += cf * ym ** i * v ** k
-    out[mask] = acc * B
-    return out
+    terms = [_R[r] for r in orders]
+    Y = _powers(ym, max(i for t in terms for i, _ in t))
+    V = _powers(v, max(k for t in terms for _, k in t))
+    out = {}
+    for r, t in zip(orders, terms):
+        acc = np.zeros_like(ym)
+        for (i, k), cf in t.items():
+            acc += cf * Y[i] * V[k]
+        out[r] = acc * B
+    return mask, out
+
+
+def _testfn_derivs(tf: TestFunction, x: np.ndarray, orders) -> list[np.ndarray]:
+    """phi^(r)(x) for every r in ``orders``: the Leibniz rule for the
+    monomial factor over one shared table of bump derivatives."""
+    xc = x - tf.center
+    y = xc / tf.width
+    d = tf.modulation_degree
+    mask, B = _bump_derivs(y, sorted({r - j for r in orders
+                                      for j in range(min(r, d) + 1)}))
+    XC = _powers(xc[mask], d)
+    outs = []
+    for order in orders:
+        acc = np.zeros_like(XC[0])
+        for j in range(min(order, d) + 1):
+            falling = math.perm(d, j) * math.comb(order, j)
+            acc += falling * XC[d - j] * B[order - j] * tf.width ** (j - order)
+        out = np.zeros_like(y)
+        out[mask] = acc
+        outs.append(out)
+    return outs
 
 
 def evaluate_testfn(tf: TestFunction, xi, order: int = 0):
@@ -113,14 +158,7 @@ def evaluate_testfn(tf: TestFunction, xi, order: int = 0):
         raise InvalidParameters(f"derivative order must be 0..4, got {order}")
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
-    x = np.atleast_1d(xi_arr)
-    y = (x - tf.center) / tf.width
-    d = tf.modulation_degree
-    out = np.zeros_like(y)
-    for j in range(min(order, d) + 1):
-        falling = math.perm(d, j) * math.comb(order, j)
-        out += (falling * (x - tf.center) ** (d - j)
-                * _bump_derivs(y, order - j) * tf.width ** (j - order))
+    (out,) = _testfn_derivs(tf, np.atleast_1d(xi_arr), (order,))
     return float(out[0]) if scalar else out
 
 
@@ -128,40 +166,8 @@ def evaluate_testfn(tf: TestFunction, xi, order: int = 0):
 # quadrature
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _gl_on_panels(f, edges: np.ndarray) -> float:
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    halfw = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + halfw[:, None] * _GL_NODES[None, :]).ravel()
-    vals = np.asarray(f(pts)).reshape(len(mid), -1)
-    return float(np.sum(halfw * (vals @ _GL_WEIGHTS)))
-
-
-def _integrate(f, pieces: list[tuple[float, float]],
-               rtol: float = 1e-13) -> tuple[float, float]:
-    """Adaptive panel-doubling Gauss-Legendre over smooth pieces.
-
-    Returns (integral, error estimate).  Pieces are intervals between
-    breakpoints where the integrand is smooth; each is subdivided and
-    the subdivision doubled until two successive refinements agree.
-    """
-    total, err = 0.0, 0.0
-    for a, b in pieces:
-        if b <= a:
-            continue
-        n_sub = 4
-        prev = _gl_on_panels(f, np.linspace(a, b, n_sub + 1))
-        for _ in range(6):
-            n_sub *= 2
-            cur = _gl_on_panels(f, np.linspace(a, b, n_sub + 1))
-            delta = abs(cur - prev)
-            prev = cur
-            if delta <= rtol * max(1.0, abs(cur)):
-                break
-        total += prev
-        err += delta
-    return total, err
+_DOUBLINGS = 6  # refinements after the first 4-panel estimate
+_RTOL = 1e-13
 
 
 def _support_pieces(L: float, tf: TestFunction) -> list[tuple[float, float]]:
@@ -175,23 +181,53 @@ def _support_pieces(L: float, tf: TestFunction) -> list[tuple[float, float]]:
 
 def _residual(u_eval, params: EquationParams, g: float, tf: TestFunction,
               L: float, phi_low: int, phi_high: int) -> tuple[float, float, float]:
-    """Signed raw residual, scaling norm, and quadrature error."""
+    """Signed raw residual, scaling norm, and quadrature error.
+
+    The raw integrand is (-g*u + a*u**m)*phi^(low) + b*u**n*phi^(high)
+    and the norm integrand |b*u**n*phi^(high)|.  Both are integrated in
+    one pass of adaptive panel-doubling Gauss-Legendre over each smooth
+    piece: 4 panels, doubled up to 6 times.  Every level evaluates u and
+    the phi-derivatives once per node, from one bump table, and forms
+    both integrands from the same arrays.  Each integral keeps its own
+    stopping test (two successive levels within _RTOL*max(1, |value|))
+    and its own cap, so sharing nodes never changes where either stops;
+    once one has stopped, a level computes only what the other needs.
+    The error estimate is the last change of the raw integral, summed
+    over the pieces.
+    """
     m, n, a, b = params.m, params.n, params.a, params.b
-    pieces = _support_pieces(L, tf)
-    if not pieces:
-        return 0.0, 0.0, 0.0
-
-    def integrand(x):
-        u = np.asarray(u_eval(x), dtype=float)
-        return ((-g * u + a * u ** m) * evaluate_testfn(tf, x, phi_low)
-                + b * u ** n * evaluate_testfn(tf, x, phi_high))
-
-    def norm_integrand(x):
-        u = np.asarray(u_eval(x), dtype=float)
-        return np.abs(b * u ** n * evaluate_testfn(tf, x, phi_high))
-
-    raw, err = _integrate(integrand, pieces)
-    norm, _ = _integrate(norm_integrand, pieces)
+    raw = norm = err = 0.0
+    for lo, hi in _support_pieces(L, tf):
+        value = [0.0, 0.0]      # raw, norm on this piece
+        delta = [0.0, 0.0]
+        live = [True, True]
+        for level in range(_DOUBLINGS + 1):
+            edges = np.linspace(lo, hi, 4 * 2 ** level + 1)
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            halfw = 0.5 * (edges[1:] - edges[:-1])
+            x = (mid[:, None] + halfw[:, None] * _GL_NODES[None, :]).ravel()
+            u = np.asarray(u_eval(x), dtype=float)
+            if live[0]:
+                phi_lo, phi_hi = _testfn_derivs(tf, x, (phi_low, phi_high))
+            else:
+                (phi_hi,) = _testfn_derivs(tf, x, (phi_high,))
+            disp = b * u ** n * phi_hi
+            vals = ((-g * u + a * u ** m) * phi_lo + disp if live[0] else None,
+                    np.abs(disp) if live[1] else None)
+            for k, f in enumerate(vals):
+                if f is None:
+                    continue
+                cur = float(np.sum(halfw * (f.reshape(len(mid), -1) @ _GL_WEIGHTS)))
+                if level:
+                    delta[k] = abs(cur - value[k])
+                    live[k] = (level < _DOUBLINGS
+                               and delta[k] > _RTOL * max(1.0, abs(cur)))
+                value[k] = cur
+            if not any(live):
+                break
+        raw += value[0]
+        norm += value[1]
+        err += delta[0]
     return raw, norm, err
 
 

@@ -207,3 +207,15 @@ class TestEndpointBehavior:
         r2 = evaluate(prof, prof.L - 1e-4 * prof.L) / (1e-4 * prof.L) ** prof.p
         assert r1 > 0 and r2 > 0
         assert r2 == pytest.approx(r1, rel=0.05)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+    def test_double_zero_doubles_the_power(self, family):
+        # the inner fractions of RATCN1/2/4/5 touch zero quadratically,
+        # every other inner expression crosses it linearly
+        double = family in (FamilyId.RATCN1, FamilyId.RATCN2,
+                            FamilyId.RATCN4, FamilyId.RATCN5)
+        assert catalog._FAMILIES[family].double_zero == double
+        for kw in DRAWS[family]:
+            prof = construct(family, **kw)
+            assert prof.p == pytest.approx((2 if double else 1) * prof.exponent,
+                                           rel=1e-12)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -221,3 +223,49 @@ class TestAtomicWrites:
         main(["table1", "-o", str(out)])
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"t.csv"}
+
+    def test_symlink_written_through(self, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("target.csv")
+        assert main(["table1", "-o", str(link)]) == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == "target.csv"
+        assert target.read_text() == GOLDEN.read_text()
+        assert {p.name for p in tmp_path.iterdir()} == {"target.csv", "link.csv"}
+
+    def test_new_file_gets_umask_mode(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        old = os.umask(0o027)
+        try:
+            assert main(["table1", "-o", str(out)]) == EXIT_OK
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_existing_file_keeps_mode(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        out.write_text("old\n")
+        out.chmod(0o604)
+        assert main(["table1", "-o", str(out)]) == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+        assert out.read_text() == GOLDEN.read_text()
+
+    def test_fifo_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        try:
+            assert main(["table1", "-o", str(fifo)]) == EXIT_OK
+            reader.join(timeout=30)
+        finally:
+            if reader.is_alive():
+                # unblock the reader if the FIFO was never opened for writing
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert got == [GOLDEN.read_text()]

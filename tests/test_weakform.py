@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compactons import weakform
 from compactons.catalog import FamilyId, construct, evaluate
 from compactons.params import EquationParams, InvalidParameters
 from compactons.weakform import (
@@ -66,6 +67,73 @@ class TestTestFunction:
         xs = np.linspace(0.99, 1.01, 50)
         vals = evaluate_testfn(tf, xs, 4)
         assert np.all(np.isfinite(vals))
+
+
+def _bump_derivs_pow(y, order):
+    """The bump kernel as first written: every term of every order from
+    its own ``y**i * v**k``."""
+    out = np.zeros_like(y)
+    v_inv = 1.0 - y * y
+    mask = v_inv > 1.0 / 700.0
+    ym, v = y[mask], 1.0 / v_inv[mask]
+    acc = np.zeros_like(ym)
+    for (i, k), cf in weakform._R[order].items():
+        acc += cf * ym ** i * v ** k
+    out[mask] = acc * np.exp(-v)
+    return out
+
+
+def _testfn_pow(tf, x, order):
+    y = (x - tf.center) / tf.width
+    d = tf.modulation_degree
+    out = np.zeros_like(y)
+    for j in range(min(order, d) + 1):
+        falling = math.perm(d, j) * math.comb(order, j)
+        out += (falling * (x - tf.center) ** (d - j)
+                * _bump_derivs_pow(y, order - j) * tf.width ** (j - order))
+    return out
+
+
+# both signs, y = 0, and both sides of the mask edge 1 - y**2 = 1/700
+_Y_EDGE = math.sqrt(1.0 - 1.0 / 700.0)
+_YS = np.concatenate([
+    np.linspace(-0.999, 0.999, 401), [0.0],
+    np.outer([-1.0, 1.0], _Y_EDGE * (1.0 + np.array([-1e-9, -1e-15, 0.0, 1e-15]))).ravel(),
+])
+
+
+class TestSharedKernel:
+    """One table for every derivative order against the per-term powers."""
+
+    def test_kernel_matches_per_term_powers(self):
+        mask, got = weakform._bump_derivs(_YS, range(5))
+        for r in range(5):
+            want = _bump_derivs_pow(_YS, r)
+            full = np.zeros_like(_YS)
+            full[mask] = got[r]
+            assert np.max(np.abs(full - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("order", range(5))
+    def test_testfn_matches_per_term_powers(self, degree, order):
+        tf = TestFunction(center=-0.4, width=1.3, modulation_degree=degree)
+        x = tf.center + tf.width * _YS
+        want = _testfn_pow(tf, x, order)
+        got = evaluate_testfn(tf, x, order)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # every order of one shared table equals its own evaluation
+        shared = weakform._testfn_derivs(tf, x, (order, 4))
+        assert np.array_equal(shared[0], got)
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_kernel_against_mpmath(self, order):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        ys = np.array([-0.93, -0.5, 0.0, 0.21, 0.77, 0.96])
+        _, got = weakform._bump_derivs(ys, (order,))
+        want = [float(mp.diff(lambda t: mp.exp(-1 / (1 - t * t)), mp.mpf(y), order))
+                for y in ys]
+        assert np.max(np.abs(got[order] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestBumpProperties:
@@ -155,6 +223,58 @@ class TestResiduals:
         data = json.loads(rep.to_json())
         assert data["equation"] == "K"
         assert len(data["residuals"]) == 25
+
+
+def _integrate_separately(f, pieces, rtol=1e-13):
+    """The verifier's integrator before the residual and its norm shared
+    nodes: one panel-doubling Gauss-Legendre loop per integrand."""
+    def gl(edges):
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        halfw = 0.5 * (edges[1:] - edges[:-1])
+        pts = (mid[:, None] + halfw[:, None] * weakform._GL_NODES[None, :]).ravel()
+        vals = np.asarray(f(pts)).reshape(len(mid), -1)
+        return float(np.sum(halfw * (vals @ weakform._GL_WEIGHTS)))
+
+    total, err = 0.0, 0.0
+    for a, b in pieces:
+        n_sub = 4
+        prev = gl(np.linspace(a, b, n_sub + 1))
+        for _ in range(6):
+            n_sub *= 2
+            cur = gl(np.linspace(a, b, n_sub + 1))
+            delta = abs(cur - prev)
+            prev = cur
+            if delta <= rtol * max(1.0, abs(cur)):
+                break
+        total += prev
+        err += delta
+    return total, err
+
+
+class TestSharedNodes:
+    """Sharing one node set must not move where either integral stops."""
+
+    @pytest.mark.parametrize("family, kw", [
+        (FamilyId.ZSQ2, dict(n=1.875, b=-1)),
+        (FamilyId.COS1, dict(n=1.00533)),
+    ], ids=["zsq2-1.875", "cos1-1.00533"])
+    @pytest.mark.parametrize("lo, hi", [(1, 3), (2, 4)], ids=["K", "KP"])
+    def test_same_as_separate_loops(self, family, kw, lo, hi):
+        prof = construct(family, **kw)
+        ev, pr, g = profile_eval(prof), prof.params, prof.g
+        for tf in bump_battery(prof.L)[5:20:3]:
+            def raw_f(x):
+                u = ev(x)
+                return ((-g * u + pr.a * u ** pr.m) * evaluate_testfn(tf, x, lo)
+                        + pr.b * u ** pr.n * evaluate_testfn(tf, x, hi))
+
+            def norm_f(x):
+                return np.abs(pr.b * ev(x) ** pr.n * evaluate_testfn(tf, x, hi))
+
+            pieces = weakform._support_pieces(prof.L, tf)
+            raw, err = _integrate_separately(raw_f, pieces)
+            norm, _ = _integrate_separately(norm_f, pieces)
+            assert weakform._residual(ev, pr, g, tf, prof.L, lo, hi) == (raw, norm, err)
 
 
 class TestBoundaryQuantities:
