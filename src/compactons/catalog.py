@@ -37,6 +37,7 @@ from scipy.optimize import brentq
 
 from .elliptic import Modulus, complete_K, inverse_cn, jacobi
 from .params import EquationParams, InvalidParameters, ProcedureRejection
+from .shooting import center_amplitude, coefficients
 
 __all__ = [
     "FamilyId",
@@ -228,137 +229,107 @@ def construct(family: FamilyId, n: float | None = None, a: float = 1.0,
 
 def _resolve(family: FamilyId, params: EquationParams, g: float,
              p: float) -> ClosedFormProfile:
-    """Fill in alpha, beta, modulus, exponent, and the inner callable."""
+    """Fill in alpha, beta, modulus, exponent, and the inner callable.
+
+    Every family is a single hump of the first integral of
+    -g*U + a*U**m + b*(U**n)'' = 0 (see ``shooting``).  Substituting
+    U(xi) = lam * u(xi/mu) gives
+    -u + (a/g) lam**(m-1) u**m + (b/g) lam**(n-1) mu**-2 (u**n)'' = 0, so
+
+        lam = (g/a)**(1/(m-1)),    mu = sqrt(|b/g| * lam**(n-1))
+
+    leave the unit problem a = g = 1, b = sgn(b/g) = +-1.  A branch holds
+    only the shape there: the inner function, its modulus and rational
+    constants, ``beta_unit``, and, in units of s = beta*xi
+    (s = sqrt(|beta|)*xi for the quadratic ZSQ1/ZSQ2), the quarter-period
+    that ``first_zero`` steps by, the printed half-width and the shift.
+    Then beta = beta_unit / mu (/ mu**2 for ZSQ1/ZSQ2), and
+    alpha = U(0) / inner(0)**exponent with U(0) = V0**(1/n), the crest of
+    ``shooting.center_amplitude``.
+
+    RATCN1 and RATCN2 are one computation, and so are RATCN4 and RATCN5.
+    ``shift`` (the half-period offset of RATCN1's and RATCN4's printed
+    form, the quarter-period offset of the sn families) is metadata and
+    is never evaluated.
+    """
+    fam = _FAMILIES[family]
     m, n, a, b = params.m, params.n, params.a, params.b
-    mod: Modulus | None = None
+    mod = ratc = locator = None
     shift = 0.0
-    ratc: tuple[float, float] | None = None
 
     if family is FamilyId.ZSQ1:
-        alpha = (g * (3 * n + 1) / (2 * a * (n + 1))) ** (2.0 / (n - 1))
-        beta = a * a * (n + 1) * (n - 1) ** 2 / (2 * g * b * n * (3 * n + 1) ** 2)
-        exponent = 2.0 / (n - 1)
+        beta_unit = (n + 1) * (n - 1) ** 2 / (2 * n * (3 * n + 1) ** 2)
         inner = lambda xi: 1.0 - beta * xi * xi
-        bracket = 1.0 / math.sqrt(beta)
-        printed = 1.0 / math.sqrt(beta)
+        quarter = printed = 1.0
     elif family is FamilyId.ZSQ2:
-        alpha = (a * (n + 1) / (2 * g)) ** (1.0 / (n - 1))
         # this quadratic coefficient is negative under the sign pattern
-        beta = g * g * (n - 1) ** 2 / (a * b * n * (n + 1) ** 2)
-        exponent = 1.0 / (n - 1)
+        beta_unit = (n - 1) ** 2 / (-n * (n + 1) ** 2)
         inner = lambda xi: 1.0 + beta * xi * xi
-        bracket = 1.0 / math.sqrt(-beta)
-        printed = 1.0 / math.sqrt(-beta)
-    elif family is FamilyId.COS1:
-        alpha = (2 * n * g / ((n + 1) * a)) ** (1.0 / (n - 1))
-        beta = (n - 1) / (2 * n) * math.sqrt(a / b)
-        exponent = 2.0 / (n - 1)
+        quarter = printed = 1.0
+    elif family in (FamilyId.COS1, FamilyId.COS2):
+        beta_unit = abs(m - 1) / (2 * n)
         inner = lambda xi: np.cos(beta * xi)
-        bracket = math.pi / (2 * beta)
-        printed = math.pi / (2 * beta)
-    elif family is FamilyId.COS2:
-        alpha = (2 * a / (g * (m + 1))) ** (1.0 / (1 - m))
-        beta = 0.5 * (1 - m) * math.sqrt(-g / b)
-        exponent = 2.0 / (1 - m)
-        inner = lambda xi: np.cos(beta * xi)
-        bracket = math.pi / (2 * beta)
-        # the catalog formula carries |g|/|b| where the argument scale
-        # implies |b|/|g|; retained verbatim for the audit cross-check
-        printed = math.pi * math.sqrt(abs(g) / abs(b)) / (1 - m)
-    elif family in (FamilyId.CN1, FamilyId.CN2):
-        mod = MOD_HALF
-        quarter = (g / (a * (3 * n - 1) * (n + 1))) ** 0.25
-        if family is FamilyId.CN1:
-            alpha = (a * (n + 1) / (g * (3 * n - 1))) ** (1.0 / (2 - 2 * n))
-            beta = (1 - n) * math.sqrt(-a / (n * b)) * quarter
-            exponent = 2.0 / (1 - n)
+        quarter = printed = math.pi / 2
+        if family is FamilyId.COS2:
+            # the catalog formula carries |g|/|b| where the argument scale
+            # implies |b|/|g|; retained verbatim for the audit cross-check
+            printed = quarter * abs(g) / abs(b)
+    elif family in (FamilyId.CN1, FamilyId.CN2, FamilyId.SN1, FamilyId.SN2):
+        cn = family in (FamilyId.CN1, FamilyId.CN2)
+        beta_unit = (abs(n - 1) * math.sqrt(1 / n if cn else 1 / (2 * n))
+                     * (1 / ((3 * n - 1) * (n + 1))) ** 0.25)
+        mod = MOD_HALF if cn else MOD_IMAG
+        quarter = printed = complete_K(mod)
+        if cn:
+            inner = lambda xi: jacobi(beta * xi, MOD_HALF)[1]
         else:
-            alpha = (g * (3 * n - 1) / (a * (n + 1))) ** (1.0 / (2 * n - 2))
-            beta = (n - 1) * math.sqrt(a / (n * b)) * quarter
-            exponent = 2.0 / (n - 1)
-        inner = lambda xi: jacobi(beta * xi, MOD_HALF)[1]
-        bracket = complete_K(MOD_HALF) / beta
-        printed = complete_K(MOD_HALF) / beta
-    elif family in (FamilyId.SN1, FamilyId.SN2):
-        mod = MOD_IMAG
-        quarter = (g / (a * (3 * n - 1) * (n + 1))) ** 0.25
-        if family is FamilyId.SN1:
-            alpha = (a * (n + 1) / (g * (3 * n - 1))) ** (1.0 / (2 - 2 * n))
-            beta = (1 - n) * math.sqrt(-a / (2 * n * b)) * quarter
-            exponent = 2.0 / (1 - n)
-        else:
-            alpha = (g * (3 * n - 1) / (a * (n + 1))) ** (1.0 / (2 * n - 2))
-            beta = (n - 1) * math.sqrt(a / (2 * n * b)) * quarter
-            exponent = 2.0 / (n - 1)
-        Ki = complete_K(MOD_IMAG)
-        shift = Ki / beta  # quarter-period offset placing the crest at xi = 0
-        inner = lambda xi: jacobi(beta * xi + Ki, MOD_IMAG)[0]
-        bracket = Ki / beta
-        printed = Ki / beta
-    elif family in (FamilyId.RATCN1, FamilyId.RATCN2):
-        mod = MOD_LOW
-        ratc = (1.0, DELTA)
-        alpha = ((5 + 3 * SQRT3) * g * (2 * n - 1)
-                 / (2 * a * (n + 1))) ** (1.0 / (3 * n - 3))
-        beta = (n - 1) * (12 * SQRT3 * a * g * g
-                          / (b ** 3 * n ** 3 * (n + 1) ** 2 * (2 * n - 1))) ** (1.0 / 6)
-        exponent = 1.0 / (n - 1)
-        inner = lambda xi: _rat_low(beta * xi)
-        bracket = complete_K(MOD_LOW) / beta
-        printed = 2.0 * complete_K(MOD_LOW) / beta
-        if family is FamilyId.RATCN1:
-            shift = printed  # half-period-shifted printed form, same profile
-    elif family is FamilyId.RATCN3:
-        mod = MOD_HIGH
-        ratc = (SQRT3 - 2.0, 1.0)
-        alpha = ((5 + 3 * SQRT3) * a * (n + 1)
-                 / (g * (2 * n - 1))) ** (1.0 / (3 - 3 * n))
-        beta = (1 - n) * (-12 * SQRT3 * a * g * g
-                          / (b ** 3 * n ** 3 * (n + 1) ** 2 * (2 * n - 1))) ** (1.0 / 6)
-        exponent = 1.0 / (1 - n)
-        inner = lambda xi: _rat_high(beta * xi)
-        bracket = complete_K(MOD_HIGH) / beta
-        printed = inverse_cn(2.0 - SQRT3, MOD_HIGH) / beta
-    elif family in (FamilyId.RATCN4, FamilyId.RATCN5):
-        mod = MOD_LOW
-        ratc = (1.0, DELTA)
-        base = (5 + 3 * SQRT3) * a * (n + 1) / (2 * g * (5 * n - 1))
-        alpha = (base * base) ** (1.0 / (3 - 3 * n))
-        beta = (1 - n) * (-3 * SQRT3 * a * a * g
-                          / (2 * b ** 3 * n ** 3 * (n + 1) * (5 * n - 1) ** 2)) ** (1.0 / 6)
-        exponent = 2.0 / (1 - n)
-        inner = lambda xi: _rat_low(beta * xi)
-        bracket = complete_K(MOD_LOW) / beta
-        printed = 2.0 * complete_K(MOD_LOW) / beta
-        if family is FamilyId.RATCN4:
-            shift = printed
-    elif family is FamilyId.RATCN6:
-        mod = MOD_HIGH
-        ratc = (SQRT3 - 2.0, 1.0)
-        alpha = ((5 + 3 * SQRT3) * g * (5 * n - 1)
-                 / (a * (n + 1))) ** (2.0 / (3 * n - 3))
-        beta = (n - 1) * (3 * SQRT3 * a * a * g
-                          / (2 * b ** 3 * n ** 3 * (n + 1) * (5 * n - 1) ** 2)) ** (1.0 / 6)
-        exponent = 2.0 / (n - 1)
-        inner = lambda xi: _rat_high(beta * xi)
-        bracket = complete_K(MOD_HIGH) / beta
-        printed = inverse_cn(2.0 - SQRT3, MOD_HIGH) / beta
-    else:  # pragma: no cover
-        raise InvalidParameters(f"unknown family {family}")
-
-    if _FAMILIES[family].double_zero:
-        # the fraction touches zero without a sign change; locate its
-        # critical point instead, which is a simple zero of sn
-        locator = lambda xi: jacobi(beta * xi, MOD_LOW)[0]
+            # a quarter-period offset places the crest at xi = 0
+            inner = lambda xi: jacobi(beta * xi + quarter, MOD_IMAG)[0]
+            shift = quarter
     else:
-        locator = inner
+        if family in (FamilyId.RATCN1, FamilyId.RATCN2, FamilyId.RATCN3):
+            beta_unit = abs(n - 1) * (12 * SQRT3 / (n ** 3 * (n + 1) ** 2
+                                                    * (2 * n - 1))) ** (1 / 6)
+        else:
+            beta_unit = abs(n - 1) * (3 * SQRT3 / (2 * n ** 3 * (n + 1)
+                                                   * (5 * n - 1) ** 2)) ** (1 / 6)
+        if fam.double_zero:
+            mod, ratc = MOD_LOW, (1.0, DELTA)
+            inner = lambda xi: _rat_low(beta * xi)
+            # the fraction touches zero without a sign change; locate its
+            # critical point instead, which is a simple zero of sn
+            locator = lambda xi: jacobi(beta * xi, MOD_LOW)[0]
+            quarter, printed = complete_K(MOD_LOW), 2.0 * complete_K(MOD_LOW)
+            if family in (FamilyId.RATCN1, FamilyId.RATCN4):
+                shift = printed  # half-period-shifted printed form, same profile
+        else:
+            mod, ratc = MOD_HIGH, (SQRT3 - 2.0, 1.0)
+            inner = lambda xi: _rat_high(beta * xi)
+            quarter, printed = complete_K(MOD_HIGH), inverse_cn(2.0 - SQRT3, MOD_HIGH)
 
+    # mu**2 = |b/g| * lam**(n-1) without lam, which can overflow where mu does not
+    mu2 = abs(b / g) * (g / a) ** ((n - 1) / (m - 1))
+    quadratic = family in (FamilyId.ZSQ1, FamilyId.ZSQ2)
+    beta = beta_unit / (mu2 if quadratic else math.sqrt(mu2))
+    width = math.sqrt(abs(beta)) if quadratic else beta
+
+    exponent = p / 2 if fam.double_zero else p
+    V0 = center_amplitude(coefficients(params, g), params)
+    try:
+        alpha = V0 ** (1 / n) / float(inner(np.zeros(1))[0]) ** exponent
+    except (OverflowError, ZeroDivisionError):
+        alpha = math.inf
+    if not math.isfinite(alpha):
+        raise ProcedureRejection(
+            f"{family.value}: alpha = U(0) / inner(0)**{exponent:.6g} leaves "
+            "the float range"
+        )
     return ClosedFormProfile(
         family=family, params=params, g=g, alpha=alpha, beta=beta,
-        modulus=mod, exponent=exponent, shift=shift,
+        modulus=mod, exponent=exponent, shift=shift / width,
         rational_constants=ratc, L=math.nan, p=p,
-        _inner=inner, _locator=locator, _bracket_step=bracket,
-        _printed_L=printed,
+        _inner=inner, _locator=locator or inner, _bracket_step=quarter / width,
+        _printed_L=printed / width,
     )
 
 

@@ -9,11 +9,14 @@ Subcommands
     region    admissibility verdicts over a sweep of the free power
 
 Exit codes: 0 success, 2 invalid parameters, 3 procedure rejection
-(sign/concavity/existence), 4 verification failure.
+(sign/concavity/existence, or a crest beyond the float range),
+4 verification failure.
 
 The environment variable COMPACTONS_OUTPUT_DIR sets the default output
-directory; a config file of key=value lines (--config) supplies defaults
-that explicit flags override.  Regular files are written atomically,
+directory; a config file of key=value lines (``<subcommand> --config``)
+supplies defaults, checked as the flags they stand for, that explicit
+flags override; keys the subcommand has no flag for are ignored.
+Regular files are written atomically,
 through symlinks; devices and FIFOs are written in place.
 """
 
@@ -89,7 +92,11 @@ def _resolve_output(path: str | None) -> str | None:
 def _load_config(path: str) -> dict[str, str]:
     """key=value lines; blank lines and #-comments ignored."""
     out: dict[str, str] = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InvalidParameters(f"cannot read config {path}: {exc.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -101,6 +108,21 @@ def _load_config(path: str) -> dict[str, str]:
             key, _, value = line.partition("=")
             out[key.strip().replace("-", "_")] = value.strip()
     return out
+
+
+def _config_flags(config: dict[str, str], args: argparse.Namespace) -> list[str]:
+    """The config entries the parsed subcommand takes, written as its flags.
+
+    A key the subcommand has no flag for is ignored.  A flag that takes
+    no value (``--numeric``) is set by ``key=true``.
+    """
+    flags = []
+    for key, value in config.items():
+        if key in vars(args) and key not in ("command", "func", "config"):
+            flag = "--" + key.replace("_", "-")
+            valueless = isinstance(getattr(args, key), bool) and value == "true"
+            flags.append(flag if valueless else f"{flag}={value}")
+    return flags
 
 
 def _wave_flags(sub: argparse.ArgumentParser) -> None:
@@ -347,8 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compacton construction, classification, and verification "
                     "for the K(m,n) and KP(m,n) equations.",
     )
-    parser.add_argument("--config", default=None,
-                        help="key=value file of defaults (flags override)")
     cfg_parent = argparse.ArgumentParser(add_help=False)
     cfg_parent.add_argument("--config", default=None,
                             help="key=value file of defaults (flags override)")
@@ -421,23 +441,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    # pre-scan for --config so its values become defaults that flags override
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config", default=None)
-    pre_args, _ = pre.parse_known_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if pre_args.config:
-            defaults = _load_config(pre_args.config)
-            for sp in parser._subparsers._group_actions[0].choices.values():
-                converted = {}
-                for act in sp._actions:
-                    if act.dest in defaults:
-                        raw = defaults[act.dest]
-                        converted[act.dest] = act.type(raw) if act.type else raw
-                sp.set_defaults(**converted)
         args = parser.parse_args(argv)
+        if args.config:
+            # the top level takes no option, so argv[0] is the subcommand;
+            # config entries go in as its first flags, where argparse checks
+            # them like flags and the command line's own flags override them
+            flags = _config_flags(_load_config(args.config), args)
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
         return args.func(args)
     except (InvalidParameters, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,9 +17,7 @@ half-width L.  Two independent routes to the same object are computed:
   continuation through the non-Lipschitz endpoint.
 
 The 1/2 factor in the oscillator is what differentiating the first
-integral gives; the factor can be overridden (``rhs_factor``) so the
-test suite can demonstrate that any other value breaks conservation of
-the first integral.
+integral gives.
 """
 
 from __future__ import annotations
@@ -120,7 +118,13 @@ def center_amplitude(coeffs: ReducedCoefficients, params: EquationParams) -> flo
             f"B/A = {ratio:.6g} <= 0: no positive symmetric compacton "
             "at these signs"
         )
-    return ratio ** (params.n / (params.m - 1))
+    try:
+        return ratio ** (params.n / (params.m - 1))
+    except OverflowError:
+        raise ProcedureRejection(
+            f"center amplitude V0 = (B/A)**(n/(m-1)) overflows the float range "
+            f"at B/A = {ratio:.6g}, m - 1 = {params.m - 1:.6g}"
+        ) from None
 
 
 def concavity_check(params: EquationParams, g: float) -> bool:
@@ -218,8 +222,7 @@ def _signed_pow(v: float, q: float) -> float:
 
 
 def shoot(params: EquationParams, g: float,
-          tolerances: ShootTolerances | None = None,
-          rhs_factor: float = 0.5) -> NumericCompacton:
+          tolerances: ShootTolerances | None = None) -> NumericCompacton:
     """Integrate the oscillator from the crest until the profile dies.
 
     The integration stops at a small cutoff amplitude (the vector field
@@ -240,8 +243,8 @@ def shoot(params: EquationParams, g: float,
     L_quad = half_width_quadrature(coeffs, params, V0, rtol=tol.quad_rtol)
     r, D, S, gamma = _tail_exponents(coeffs, params)
 
-    c1 = rhs_factor * (1.0 + 1.0 / n) * coeffs.B
-    c2 = rhs_factor * (1.0 + m / n) * coeffs.A
+    c1 = 0.5 * (1.0 + 1.0 / n) * coeffs.B
+    c2 = 0.5 * (1.0 + m / n) * coeffs.A
 
     def rhs(_, y):
         v = y[0]

@@ -3,9 +3,11 @@
 from functools import partial
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from compactons import catalog
 from compactons.catalog import FamilyId
+from compactons.shooting import center_amplitude, coefficients, half_width_quadrature
 
 # Three admissible parameter draws per family.  The free power is n for
 # every family except COS2 (parameterized by m with n = 1); the sign of
@@ -57,3 +59,33 @@ def strong_residual_scaled(profile, points=None, h=1e-5):
            + np.longdouble(pr.b) * w2)
     scale = abs(pr.a) * float(catalog.evaluate(profile, 0.0)) ** pr.m
     return float(np.max(np.abs(res))) / scale
+
+
+def oscillator_energy_residual(params, g, factor):
+    """Max first-integral residual |V'**2 - B V**(1+1/n) + A V**(1+m/n)|,
+    scaled by |B|*V0**(1+1/n), along V'' = factor * ((1+1/n) B V**(1/n)
+    - (1+m/n) A V**(m/n)) from the crest down to V = V0/1000.
+
+    Differentiating the first integral gives factor 1/2; any other factor
+    integrates an oscillator that does not conserve it.
+    """
+    m, n = params.m, params.n
+    c = coefficients(params, g)
+    V0 = center_amplitude(c, params)
+    L = half_width_quadrature(c, params, V0)
+
+    def rhs(_, y):
+        v = max(y[0], 0.0)
+        return [y[1], factor * ((1 + 1 / n) * c.B * v ** (1 / n)
+                                - (1 + m / n) * c.A * v ** (m / n))]
+
+    def floor(_, y):
+        return y[0] - 1e-3 * V0
+    floor.terminal = True
+
+    sol = solve_ivp(rhs, (0.0, 10.0 * L), [V0, 0.0], method="DOP853",
+                    rtol=1e-10, atol=1e-12 * V0, events=floor, dense_output=True)
+    V, W = sol.sol(np.linspace(0.0, sol.t[-1], 512))
+    V = np.clip(V, 0.0, None)
+    energy = np.abs(W ** 2 - c.B * V ** (1 + 1 / n) + c.A * V ** (1 + m / n))
+    return float(energy.max()) / (abs(c.B) * V0 ** (1 + 1 / n))

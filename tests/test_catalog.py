@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactons import catalog
 from compactons.catalog import (
@@ -21,6 +23,12 @@ from compactons.catalog import (
     sign_condition,
 )
 from compactons.params import InvalidParameters, ProcedureRejection
+from compactons.shooting import (
+    center_amplitude,
+    coefficients,
+    half_width_quadrature,
+    shoot,
+)
 
 from conftest import DRAWS, profile_eval, strong_residual_scaled
 
@@ -219,3 +227,89 @@ class TestEndpointBehavior:
             prof = construct(family, **kw)
             assert prof.p == pytest.approx((2 if double else 1) * prof.exponent,
                                            rel=1e-12)
+
+
+# one point with |a|, |b|, |g| != 1 for each sign of a under each sign pattern
+_OFF_UNIT = {
+    sign_condition(FamilyId.ZSQ1): [dict(a=2.5, b=0.4, g=1.7), dict(a=-0.6, b=-3.0, g=-2.2)],
+    sign_condition(FamilyId.ZSQ2): [dict(a=2.5, b=-0.4, g=1.7), dict(a=-0.6, b=3.0, g=-2.2)],
+}
+FIRST_INTEGRAL_POINTS = [
+    (family, kw) for family in ALL_FAMILIES
+    for kw in DRAWS[family] + [{**DRAWS[family][0], **c}
+                               for c in _OFF_UNIT[sign_condition(family)]]
+]
+
+
+def _point_id(point):
+    family, kw = point
+    return family.value + "-" + "-".join(f"{k}{v:g}" for k, v in kw.items())
+
+
+class TestFirstIntegral:
+    """Every family is the single hump of the first integral
+    V'**2 = B V**(1+1/n) - A V**(1+m/n), V = U**n, so its crest, half-width
+    and shape follow from the shooting module's independent routes.
+    Bounds sit a few times above the worst measured over these points."""
+
+    @pytest.mark.parametrize("point", FIRST_INTEGRAL_POINTS, ids=_point_id)
+    def test_crest_and_half_width(self, point):
+        family, kw = point
+        prof = construct(family, **kw)
+        coeffs = coefficients(prof.params, prof.g)
+        V0 = center_amplitude(coeffs, prof.params)
+        crest = evaluate(prof, 0.0)
+        assert abs(crest - V0 ** (1 / prof.params.n)) <= 2e-14 * crest
+        L_quad = half_width_quadrature(coeffs, prof.params, V0)
+        assert abs(prof.L - L_quad) <= 4e-15 * prof.L
+
+    @pytest.mark.parametrize("point", FIRST_INTEGRAL_POINTS, ids=_point_id)
+    def test_shooting_agrees(self, point):
+        family, kw = point
+        prof = construct(family, **kw)
+        nc = shoot(prof.params, prof.g)
+        assert abs(nc.L_shoot - prof.L) <= 1e-8 * prof.L
+        crest = evaluate(prof, 0.0)
+        assert np.max(np.abs(nc.U - evaluate(prof, nc.grid))) <= 5e-9 * crest
+
+    @pytest.mark.parametrize("cn,sn,free", [
+        (FamilyId.CN1, FamilyId.SN1, [0.55, 0.6, 0.75, 0.9, 0.95]),
+        (FamilyId.CN2, FamilyId.SN2, [1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0]),
+    ], ids=["cn1-sn1", "cn2-sn2"])
+    def test_cn_and_sn_are_one_profile(self, cn, sn, free):
+        # same m(n) and sign pattern, reached through a real modulus 1/sqrt(2)
+        # and an imaginary modulus i: the profiles must coincide
+        for n in free:
+            for coeffs in [dict(b=DRAWS[cn][0].get("b", 1.0))] + _OFF_UNIT[sign_condition(cn)]:
+                p_cn, p_sn = construct(cn, n=n, **coeffs), construct(sn, n=n, **coeffs)
+                assert abs(p_cn.L - p_sn.L) <= 5e-14 * p_cn.L
+                xs = np.linspace(-1.1, 1.1, 221) * p_cn.L
+                dev = np.max(np.abs(evaluate(p_cn, xs) - evaluate(p_sn, xs)))
+                assert dev <= 5e-14 * evaluate(p_cn, 0.0)
+
+
+class TestScaling:
+    """U -> lam*U, xi -> mu*xi maps the profile at a = g = 1, b = +-1 onto
+    the one at (a, b, g), with lam = (g/a)**(1/(m-1)) and
+    mu = sqrt(|b/g| * lam**(n-1)); every family must obey it."""
+
+    @given(family=st.sampled_from(ALL_FAMILIES), t=st.floats(0.05, 0.95),
+           a=st.floats(0.1, 10), b=st.floats(0.1, 10), g=st.floats(0.1, 10),
+           negative=st.booleans())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_exact_rescaling_of_the_unit_profile(self, family, t, a, b, g, negative):
+        var, lo, hi = admissible_interval(family)
+        hi = lo + 3 if hi is None else hi
+        free = {var: float(lo + t * (hi - lo))}
+        b_unit = 1.0 if sign_condition(family) == sign_condition(FamilyId.ZSQ1) else -1.0
+        if negative:
+            a, b, g = -a, -b, -g
+        unit = construct(family, **free, b=b_unit)
+        prof = construct(family, **free, a=a, b=b * b_unit, g=g)
+        m, n = prof.params.m, prof.params.n
+        lam = (g / a) ** (1 / (m - 1))
+        mu = math.sqrt(abs(b / g) * lam ** (n - 1))
+        assert abs(prof.L - mu * unit.L) <= 1e-12 * prof.L
+        xs = np.linspace(-0.95, 0.95, 39) * prof.L
+        dev = np.max(np.abs(evaluate(prof, xs) - lam * evaluate(unit, xs / mu)))
+        assert dev <= 1e-12 * evaluate(prof, 0.0)

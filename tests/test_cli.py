@@ -166,6 +166,50 @@ class TestVerify:
         assert code == EXIT_OK
 
 
+class TestFloatRange:
+    """A crest beyond the largest float is a rejection (exit 3); one that
+    underflows to zero gives the zero profile."""
+
+    def test_center_amplitude_overflow_in_catalog(self, capsys):
+        code = main(["verify", "--family", "zsq1", "--n=1.0029066402492113",
+                     "--a=-0.633327838669153", "--b=-1.2560951904186386",
+                     "--g=-2.5845959053614926"])
+        assert code == EXIT_REJECTED
+        assert "float range" in capsys.readouterr().err
+
+    def test_center_amplitude_overflow_in_solve(self, tmp_path, capsys):
+        code = main(["solve", "--m=0.9986212170686334", "--n=2.119727191332506",
+                     "--a=2.6293034686923997", "--b=-1.525158885839738",
+                     "--g=1.3595969012576283", "-o", str(tmp_path / "s.csv")])
+        assert code == EXIT_REJECTED
+        assert "float range" in capsys.readouterr().err
+
+    def test_amplitude_overflow_in_catalog(self, tmp_path, capsys):
+        # U(0) is about 1, but inner(0)**exponent = 0.366**1000 underflows
+        code = main(["profile", "--family", "ratcn6", "--n", "1.002",
+                     "-o", str(tmp_path / "p.csv")])
+        assert code == EXIT_REJECTED
+        assert "float range" in capsys.readouterr().err
+
+    def test_crest_underflow_is_the_zero_profile(self, tmp_path, capsys):
+        code = main(["profile", "--family", "zsq1", "--n", "1.002", "--a", "3",
+                     "-o", str(tmp_path / "p.csv")])
+        assert code == EXIT_OK
+        assert "alpha=0.0 " in capsys.readouterr().out
+        main(["verify", "--family", "zsq1", "--n", "1.002", "--a", "3",
+              "--equation", "both"])
+        out = capsys.readouterr().out
+        for eq in ("K", "KP"):
+            assert f"[{eq}] max scaled residual 0.000e+00 (threshold 1e-07) -> pass" in out
+
+    def test_center_amplitude_underflow_in_solve(self, tmp_path, capsys):
+        code = main(["solve", "--m=0.9999515884220205", "--n=1.0578301140722306",
+                     "--a=-1.7838106055674312", "--b=1.154020791058229",
+                     "--g=-2.8186686189188666", "-o", str(tmp_path / "s.csv")])
+        assert code == EXIT_INVALID
+        assert "V0 must be positive" in capsys.readouterr().err
+
+
 class TestTable1:
     def test_matches_golden_file(self, capsys):
         code = main(["table1"])
@@ -215,6 +259,37 @@ class TestConfigFile:
         code = main(["classify", "--family", "cos1", "--n", "2",
                      "--config", str(cfg)])
         assert code == EXIT_INVALID
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        code = main(["table1", "--config", str(tmp_path / "absent.txt")])
+        assert code == EXIT_INVALID
+        assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,entry", [
+        (["classify", "--family", "cos1"], "n=abc"),
+        (["table1"], "family=nope"),
+    ], ids=["type", "choices"])
+    def test_values_checked_like_flags(self, tmp_path, capsys, argv, entry):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(entry + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == EXIT_INVALID
+        assert "error:" in capsys.readouterr().err
+
+    def test_keys_a_subcommand_lacks_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("steps=5\nthreshold=1e-3\nn=3\n")
+        code = main(["classify", "--family", "cos1", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert "p           1" in capsys.readouterr().out  # n=3 from config
+
+    def test_valueless_flag_set_by_true(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("numeric=true\nthreshold=1e-3\n")
+        code = main(["verify", "--m", "2.25", "--n", "2", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert "numeric m=2.25 n=2 [K]" in capsys.readouterr().out
 
 
 class TestAtomicWrites:

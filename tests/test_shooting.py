@@ -18,6 +18,8 @@ from compactons.shooting import (
     shoot,
 )
 
+from conftest import oscillator_energy_residual
+
 FIG5_LEFT = EquationParams(m=2.25, n=2.0, a=1.0, b=1.0)
 FIG5_RIGHT = EquationParams(m=0.5, n=0.9, a=1.0, b=-1.0)
 
@@ -125,10 +127,8 @@ class TestShoot:
     def test_wrong_oscillator_factor_breaks_energy(self):
         # the once-differentiated oscillator carries a factor 1/2; running
         # with factor 2 instead must visibly violate the first integral
-        nc_bad = shoot(FIG5_LEFT, 1.0, rhs_factor=2.0)
-        scale = abs(coefficients(FIG5_LEFT, 1.0).B) \
-            * nc_bad.V0 ** (1 + 1 / FIG5_LEFT.n)
-        assert nc_bad.energy_residual_max / scale > 1e-1
+        assert oscillator_energy_residual(FIG5_LEFT, 1.0, 0.5) < 1e-7
+        assert oscillator_energy_residual(FIG5_LEFT, 1.0, 2.0) > 1e-1
 
     def test_tolerance_override(self):
         tol = ShootTolerances(rtol=1e-8, grid_points=201)
