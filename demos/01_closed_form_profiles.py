@@ -1,9 +1,9 @@
 """Construct closed-form compacton profiles and inspect their constants.
 
 Every family resolves its amplitude alpha, argument scale beta, and
-half-width L from (n, a, b, g).  The half-width is root-found from the
-profile's own inner expression rather than read off a formula, so it is
-trustworthy even where a printed formula is not.
+half-width L from (n, a, b, g).  The half-width is the first zero of the
+profile's own inner expression rather than the catalog's printed formula,
+so it is trustworthy even where a printed formula is not.
 """
 
 import numpy as np

@@ -13,13 +13,17 @@ nonlinearity power m and the dispersion power n, a sign pattern on
 admissible range of the free power outside which no weak compacton of
 that shape exists.
 
-The half-width L is always obtained by root-finding the inner
-expression (``first_zero``) rather than trusted from a closed formula;
-the closed formulas are kept in ``printed_half_width`` as cross-checks.
-For the COS2 family the two deliberately disagree: the catalog formula
-for its half-width is inconsistent with the cosine argument scale by a
-factor |g|/|b|, and the root-found value is the one that actually
-annihilates the profile.
+The half-width L is the inner expression's first zero in closed form:
+each family's inner function first vanishes at a known s* (pi/2, K, 2K,
+cn^-1(2 - sqrt(3)), or 1 for the quadratic families) of its scaled
+argument s = beta*xi (sqrt(|beta|)*xi for the quadratics), so L is s*
+divided by that scale.  ``first_zero`` returns this L; the name stays
+because the benchmark's span tracer (``perfbench/spans.py``) patches it.
+The catalog's printed formulas are kept in ``printed_half_width`` as
+cross-checks.  For the COS2 family the two deliberately disagree: the
+catalog formula for its half-width is inconsistent with the cosine
+argument scale by a factor |g|/|b|, and s*/beta is the zero that
+actually annihilates the profile.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .elliptic import Modulus, complete_K, inverse_cn, jacobi
 from .params import EquationParams, InvalidParameters, ProcedureRejection
@@ -159,7 +162,7 @@ def _require_nonzero_g(family: FamilyId, g: float) -> None:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ClosedFormProfile:
     """One explicit compacton family with all constants resolved."""
 
@@ -175,8 +178,6 @@ class ClosedFormProfile:
     L: float
     p: float
     _inner: object = field(repr=False, default=None)
-    _locator: object = field(repr=False, default=None)
-    _bracket_step: float = field(repr=False, default=0.0)
     _printed_L: float = field(repr=False, default=math.nan)
 
 
@@ -198,7 +199,7 @@ def construct(family: FamilyId, n: float | None = None, a: float = 1.0,
 
     All families except COS2 take the dispersion power ``n`` as the free
     parameter; COS2 has n = 1 and takes the nonlinearity power ``m``.
-    The half-width is root-found, never read off a closed formula.
+    The half-width is the inner expression's first zero in closed form.
     """
     a, b, g = float(a), float(b), float(g)
     _require_nonzero_g(family, g)
@@ -222,14 +223,12 @@ def construct(family: FamilyId, n: float | None = None, a: float = 1.0,
         )
     _check_signs(family, a, b, g)
     params = EquationParams(m=m, n=n, a=a, b=b, sigma=sigma, kind=kind)
-    prof = _resolve(family, params, g, fam.p_of(free))
-    prof.L = first_zero(prof)
-    return prof
+    return _resolve(family, params, g, fam.p_of(free))
 
 
 def _resolve(family: FamilyId, params: EquationParams, g: float,
              p: float) -> ClosedFormProfile:
-    """Fill in alpha, beta, modulus, exponent, and the inner callable.
+    """Fill in alpha, beta, modulus, exponent, L, and the inner callable.
 
     Every family is a single hump of the first integral of
     -g*U + a*U**m + b*(U**n)'' = 0 (see ``shooting``).  Substituting
@@ -241,9 +240,9 @@ def _resolve(family: FamilyId, params: EquationParams, g: float,
     leave the unit problem a = g = 1, b = sgn(b/g) = +-1.  A branch holds
     only the shape there: the inner function, its modulus and rational
     constants, ``beta_unit``, and, in units of s = beta*xi
-    (s = sqrt(|beta|)*xi for the quadratic ZSQ1/ZSQ2), the quarter-period
-    that ``first_zero`` steps by, the printed half-width and the shift.
-    Then beta = beta_unit / mu (/ mu**2 for ZSQ1/ZSQ2), and
+    (s = sqrt(|beta|)*xi for the quadratic ZSQ1/ZSQ2), the inner's first
+    zero s* and the shift.  Then
+    beta = beta_unit / mu (/ mu**2 for ZSQ1/ZSQ2), L = s* / width, and
     alpha = U(0) / inner(0)**exponent with U(0) = V0**(1/n), the crest of
     ``shooting.center_amplitude``.
 
@@ -254,38 +253,34 @@ def _resolve(family: FamilyId, params: EquationParams, g: float,
     """
     fam = _FAMILIES[family]
     m, n, a, b = params.m, params.n, params.a, params.b
-    mod = ratc = locator = None
+    mod = ratc = None
     shift = 0.0
 
     if family is FamilyId.ZSQ1:
         beta_unit = (n + 1) * (n - 1) ** 2 / (2 * n * (3 * n + 1) ** 2)
         inner = lambda xi: 1.0 - beta * xi * xi
-        quarter = printed = 1.0
+        zero = 1.0
     elif family is FamilyId.ZSQ2:
         # this quadratic coefficient is negative under the sign pattern
         beta_unit = (n - 1) ** 2 / (-n * (n + 1) ** 2)
         inner = lambda xi: 1.0 + beta * xi * xi
-        quarter = printed = 1.0
+        zero = 1.0
     elif family in (FamilyId.COS1, FamilyId.COS2):
         beta_unit = abs(m - 1) / (2 * n)
         inner = lambda xi: np.cos(beta * xi)
-        quarter = printed = math.pi / 2
-        if family is FamilyId.COS2:
-            # the catalog formula carries |g|/|b| where the argument scale
-            # implies |b|/|g|; retained verbatim for the audit cross-check
-            printed = quarter * abs(g) / abs(b)
+        zero = math.pi / 2
     elif family in (FamilyId.CN1, FamilyId.CN2, FamilyId.SN1, FamilyId.SN2):
         cn = family in (FamilyId.CN1, FamilyId.CN2)
         beta_unit = (abs(n - 1) * math.sqrt(1 / n if cn else 1 / (2 * n))
                      * (1 / ((3 * n - 1) * (n + 1))) ** 0.25)
         mod = MOD_HALF if cn else MOD_IMAG
-        quarter = printed = complete_K(mod)
+        zero = complete_K(mod)
         if cn:
             inner = lambda xi: jacobi(beta * xi, MOD_HALF)[1]
         else:
             # a quarter-period offset places the crest at xi = 0
-            inner = lambda xi: jacobi(beta * xi + quarter, MOD_IMAG)[0]
-            shift = quarter
+            inner = lambda xi: jacobi(beta * xi + zero, MOD_IMAG)[0]
+            shift = zero
     else:
         if family in (FamilyId.RATCN1, FamilyId.RATCN2, FamilyId.RATCN3):
             beta_unit = abs(n - 1) * (12 * SQRT3 / (n ** 3 * (n + 1) ** 2
@@ -295,18 +290,19 @@ def _resolve(family: FamilyId, params: EquationParams, g: float,
                                                    * (5 * n - 1) ** 2)) ** (1 / 6)
         if fam.double_zero:
             mod, ratc = MOD_LOW, (1.0, DELTA)
+            # the fraction touches zero at cn = -1, without a sign change
             inner = lambda xi: _rat_low(beta * xi)
-            # the fraction touches zero without a sign change; locate its
-            # critical point instead, which is a simple zero of sn
-            locator = lambda xi: jacobi(beta * xi, MOD_LOW)[0]
-            quarter, printed = complete_K(MOD_LOW), 2.0 * complete_K(MOD_LOW)
+            zero = 2.0 * complete_K(MOD_LOW)
             if family in (FamilyId.RATCN1, FamilyId.RATCN4):
-                shift = printed  # half-period-shifted printed form, same profile
+                shift = zero  # half-period-shifted printed form, same profile
         else:
             mod, ratc = MOD_HIGH, (SQRT3 - 2.0, 1.0)
             inner = lambda xi: _rat_high(beta * xi)
-            quarter, printed = complete_K(MOD_HIGH), inverse_cn(2.0 - SQRT3, MOD_HIGH)
+            zero = inverse_cn(2.0 - SQRT3, MOD_HIGH)
 
+    # the catalog's COS2 formula carries |g|/|b| where the argument scale
+    # implies |b|/|g|; retained verbatim for the audit cross-check
+    printed = zero * abs(g) / abs(b) if family is FamilyId.COS2 else zero
     # mu**2 = |b/g| * lam**(n-1) without lam, which can overflow where mu does not
     mu2 = abs(b / g) * (g / a) ** ((n - 1) / (m - 1))
     quadratic = family in (FamilyId.ZSQ1, FamilyId.ZSQ2)
@@ -319,7 +315,7 @@ def _resolve(family: FamilyId, params: EquationParams, g: float,
         alpha = V0 ** (1 / n) / float(inner(np.zeros(1))[0]) ** exponent
     except (OverflowError, ZeroDivisionError):
         alpha = math.inf
-    if not math.isfinite(alpha):
+    if not 0.0 < alpha < math.inf:
         raise ProcedureRejection(
             f"{family.value}: alpha = U(0) / inner(0)**{exponent:.6g} leaves "
             "the float range"
@@ -327,9 +323,8 @@ def _resolve(family: FamilyId, params: EquationParams, g: float,
     return ClosedFormProfile(
         family=family, params=params, g=g, alpha=alpha, beta=beta,
         modulus=mod, exponent=exponent, shift=shift / width,
-        rational_constants=ratc, L=math.nan, p=p,
-        _inner=inner, _locator=locator or inner, _bracket_step=quarter / width,
-        _printed_L=printed / width,
+        rational_constants=ratc, L=zero / width, p=p,
+        _inner=inner, _printed_L=printed / width,
     )
 
 
@@ -343,47 +338,15 @@ def _rat_high(s):
     return (c + SQRT3 - 2.0) / (c + 1.0)
 
 
-#: steps of half an analytic quarter-period that ``first_zero`` scans
-_SCAN_STEPS = 40
-
-
 def first_zero(profile: ClosedFormProfile) -> float:
-    """Smallest xi > 0 where the uncut inner expression reaches zero.
-
-    Scans up to 20 analytic quarter-periods in half steps for a sign
-    change of the locator function and refines it to relative 1e-12.  The locator is
-    the inner expression itself except for the rational-cn families
-    whose inner touches zero quadratically; those use the sign change of
-    sn at the same point.
-    """
-    f = profile._locator
-    step = profile._bracket_step / 2.0
-    # skip the locator's trivial root at xi = 0 for the double-zero case
-    lo = step * 0.5 if _FAMILIES[profile.family].double_zero else 0.0
-    flo = float(f(lo)) if lo > 0 else float(f(1e-12 * step))
-    if flo <= 0:
-        raise ProcedureRejection(
-            f"{profile.family.value}: inner expression not positive at the "
-            "center; a resolved constant is wrong"
-        )
-    for _ in range(_SCAN_STEPS):
-        hi = lo + step
-        fhi = float(f(hi))
-        if fhi <= 0.0:
-            root = brentq(lambda x: float(f(x)), lo, hi, xtol=1e-300, rtol=1e-14)
-            return float(root)
-        lo, flo = hi, fhi
-    raise ProcedureRejection(
-        f"{profile.family.value}: no zero of the inner expression within "
-        f"{_SCAN_STEPS // 2} analytic quarter-periods; a resolved constant is wrong"
-    )
+    """Smallest xi > 0 where the uncut inner expression reaches zero: L."""
+    return profile.L
 
 
 def printed_half_width(profile: ClosedFormProfile) -> float:
     """Half-width from the catalog's closed formula (audit cross-check).
 
-    Agrees with ``first_zero`` to high relative accuracy for every
-    family except COS2, whose formula is inconsistent with its own
+    Equals L for every family except COS2, whose formula is inconsistent with its own
     argument scale by a factor |g|/|b|.
     """
     return profile._printed_L

@@ -119,12 +119,16 @@ def center_amplitude(coeffs: ReducedCoefficients, params: EquationParams) -> flo
             "at these signs"
         )
     try:
-        return ratio ** (params.n / (params.m - 1))
+        V0 = ratio ** (params.n / (params.m - 1))
     except OverflowError:
+        V0 = math.inf
+    if V0 == 0.0 or V0 == math.inf:
         raise ProcedureRejection(
-            f"center amplitude V0 = (B/A)**(n/(m-1)) overflows the float range "
+            f"center amplitude V0 = (B/A)**(n/(m-1)) "
+            f"{'underflows' if V0 == 0.0 else 'overflows'} the float range "
             f"at B/A = {ratio:.6g}, m - 1 = {params.m - 1:.6g}"
-        ) from None
+        )
+    return V0
 
 
 def concavity_check(params: EquationParams, g: float) -> bool:

@@ -1,6 +1,5 @@
 """Closed-form family construction, evaluation, and serialization."""
 
-import dataclasses
 import json
 import math
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betaincinv, betaln
 
 from compactons import catalog
 from compactons.catalog import (
@@ -16,7 +16,6 @@ from compactons.catalog import (
     construct,
     evaluate,
     family_m,
-    first_zero,
     printed_half_width,
     profile_metadata,
     sample,
@@ -33,6 +32,17 @@ from compactons.shooting import (
 from conftest import DRAWS, profile_eval, strong_residual_scaled
 
 ALL_FAMILIES = list(FamilyId)
+
+# one point with |a|, |b|, |g| != 1 for each sign of a under each sign pattern
+_OFF_UNIT = {
+    sign_condition(FamilyId.ZSQ1): [dict(a=2.5, b=0.4, g=1.7), dict(a=-0.6, b=-3.0, g=-2.2)],
+    sign_condition(FamilyId.ZSQ2): [dict(a=2.5, b=-0.4, g=1.7), dict(a=-0.6, b=3.0, g=-2.2)],
+}
+FIRST_INTEGRAL_POINTS = [
+    (family, kw) for family in ALL_FAMILIES
+    for kw in DRAWS[family] + [{**DRAWS[family][0], **c}
+                               for c in _OFF_UNIT[sign_condition(family)]]
+]
 
 
 class TestIntroFixture:
@@ -134,18 +144,19 @@ class TestProfiles:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_half_width_is_first_zero(self, family):
-        prof = construct(family, **DRAWS[family][0])
-        # the inner expression really crosses zero at L
-        eps = 1e-7 * prof.L
-        assert evaluate(prof, prof.L - eps) > 0.0
-        assert first_zero(prof) == pytest.approx(prof.L, rel=1e-13)
-
-    def test_first_zero_scan_limit_message(self):
-        prof = construct(FamilyId.COS1, n=2)
-        never_zero = dataclasses.replace(prof, _locator=lambda xi: 1.0)
-        with pytest.raises(ProcedureRejection,
-                           match="within 20 analytic quarter-periods"):
-            first_zero(never_zero)
+        # L is the first zero of the uncut inner expression: it stays
+        # positive up to L and vanishes at L to roundoff.  The grid stops
+        # where the inner is about 1e-9 of its crest, which a double zero
+        # reaches at (1e-9)**(1/2) of L from the edge.
+        order = 2 if catalog._FAMILIES[family].double_zero else 1
+        for point_family, kw in FIRST_INTEGRAL_POINTS:
+            if point_family is not family:
+                continue
+            prof = construct(family, **kw)
+            inner0 = float(prof._inner(np.zeros(1))[0])
+            xs = np.linspace(0.0, prof.L * (1 - 1e-9 ** (1 / order)), 2001)
+            assert np.all(prof._inner(xs) > 0.0), kw
+            assert abs(float(prof._inner(np.array([prof.L]))[0])) <= 4e-15 * inner0, kw
 
     @pytest.mark.parametrize("family",
                              [f for f in ALL_FAMILIES if f is not FamilyId.COS2],
@@ -229,18 +240,6 @@ class TestEndpointBehavior:
                                            rel=1e-12)
 
 
-# one point with |a|, |b|, |g| != 1 for each sign of a under each sign pattern
-_OFF_UNIT = {
-    sign_condition(FamilyId.ZSQ1): [dict(a=2.5, b=0.4, g=1.7), dict(a=-0.6, b=-3.0, g=-2.2)],
-    sign_condition(FamilyId.ZSQ2): [dict(a=2.5, b=-0.4, g=1.7), dict(a=-0.6, b=3.0, g=-2.2)],
-}
-FIRST_INTEGRAL_POINTS = [
-    (family, kw) for family in ALL_FAMILIES
-    for kw in DRAWS[family] + [{**DRAWS[family][0], **c}
-                               for c in _OFF_UNIT[sign_condition(family)]]
-]
-
-
 def _point_id(point):
     family, kw = point
     return family.value + "-" + "-".join(f"{k}{v:g}" for k, v in kw.items())
@@ -286,6 +285,36 @@ class TestFirstIntegral:
                 xs = np.linspace(-1.1, 1.1, 221) * p_cn.L
                 dev = np.max(np.abs(evaluate(p_cn, xs) - evaluate(p_sn, xs)))
                 assert dev <= 5e-14 * evaluate(p_cn, 0.0)
+
+
+class TestInverseBetaOracle:
+    """The E = 0 first integral inverts in closed form.  With V = V0*v,
+    kappa**2 = |B| V0**(1/n - 1), t = v**d, d = |m - 1|/n and
+    alpha = (n - min(1, m)) / (2|m - 1|), the half-width is the complete
+    beta function L = B(alpha, 1/2) / (d kappa) and the profile is
+    U(xi) = U0 * I^-1((L - |xi|)/L; alpha, 1/2) ** (1/|m - 1|), U0 = V0**(1/n).
+    A, B and V0 are formed here from (m, n, a, b, g), so the check uses
+    neither ``elliptic`` nor any catalog branch.  Bounds sit a few times
+    above the worst measured over these points (L 7.1e-16, U 6.5e-15*U0)."""
+
+    @pytest.mark.parametrize("point", FIRST_INTEGRAL_POINTS, ids=_point_id)
+    def test_half_width_and_profile(self, point):
+        family, kw = point
+        prof = construct(family, **kw)
+        m, n, a, b = prof.params.m, prof.params.n, prof.params.a, prof.params.b
+        A = 2 * n * a / ((m + n) * b)
+        B = 2 * n * prof.g / ((n + 1) * b)
+        V0 = (B / A) ** (n / (m - 1))
+        U0 = V0 ** (1 / n)
+        kappa = math.sqrt(abs(B) * V0 ** (1 / n - 1))
+        alpha = (n - min(1.0, m)) / (2 * abs(m - 1))
+        L = math.exp(betaln(alpha, 0.5)) / (abs(m - 1) / n * kappa)
+        assert abs(prof.L - L) <= 2e-15 * L
+        xs = np.linspace(-L, L, 4001)
+        # y from the difference, never as 1 - |xi|/L
+        y = np.clip((L - np.abs(xs)) / L, 0.0, 1.0)
+        U = U0 * betaincinv(alpha, 0.5, y) ** (1 / abs(m - 1))
+        assert np.max(np.abs(evaluate(prof, xs) - U)) <= 2e-14 * U0
 
 
 class TestScaling:

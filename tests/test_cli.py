@@ -167,8 +167,8 @@ class TestVerify:
 
 
 class TestFloatRange:
-    """A crest beyond the largest float is a rejection (exit 3); one that
-    underflows to zero gives the zero profile."""
+    """A crest beyond the largest float, or one that underflows to zero, is
+    a rejection (exit 3)."""
 
     def test_center_amplitude_overflow_in_catalog(self, capsys):
         code = main(["verify", "--family", "zsq1", "--n=1.0029066402492113",
@@ -191,23 +191,30 @@ class TestFloatRange:
         assert code == EXIT_REJECTED
         assert "float range" in capsys.readouterr().err
 
-    def test_crest_underflow_is_the_zero_profile(self, tmp_path, capsys):
-        code = main(["profile", "--family", "zsq1", "--n", "1.002", "--a", "3",
-                     "-o", str(tmp_path / "p.csv")])
-        assert code == EXIT_OK
-        assert "alpha=0.0 " in capsys.readouterr().out
-        main(["verify", "--family", "zsq1", "--n", "1.002", "--a", "3",
-              "--equation", "both"])
-        out = capsys.readouterr().out
-        for eq in ("K", "KP"):
-            assert f"[{eq}] max scaled residual 0.000e+00 (threshold 1e-07) -> pass" in out
+    def test_center_amplitude_underflow_in_catalog(self, tmp_path, capsys):
+        # V0 = (1/3)**(n/(m-1)) with m - 1 = 0.001: the crest underflows to 0
+        for cmd in (["profile", "-o", str(tmp_path / "p.csv")],
+                    ["verify", "--equation", "both"]):
+            code = main(cmd + ["--family", "zsq1", "--n", "1.002", "--a", "3"])
+            assert code == EXIT_REJECTED
+            captured = capsys.readouterr()
+            assert "underflows the float range" in captured.err
+            assert "pass" not in captured.out
+            assert not (tmp_path / "p.csv").exists()
+
+    def test_amplitude_underflow_in_catalog(self, tmp_path, capsys):
+        # V0 is about 1e-225, but U(0) = V0**(1/0.6) underflows to 0
+        code = main(["profile", "--family", "cn1", "--n", "0.6", "--b", "-1",
+                     "--g", "1e300", "-o", str(tmp_path / "p.csv")])
+        assert code == EXIT_REJECTED
+        assert "float range" in capsys.readouterr().err
 
     def test_center_amplitude_underflow_in_solve(self, tmp_path, capsys):
         code = main(["solve", "--m=0.9999515884220205", "--n=1.0578301140722306",
                      "--a=-1.7838106055674312", "--b=1.154020791058229",
                      "--g=-2.8186686189188666", "-o", str(tmp_path / "s.csv")])
-        assert code == EXIT_INVALID
-        assert "V0 must be positive" in capsys.readouterr().err
+        assert code == EXIT_REJECTED
+        assert "underflows the float range" in capsys.readouterr().err
 
 
 class TestTable1:
