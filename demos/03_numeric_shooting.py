@@ -2,9 +2,10 @@
 
 The travelling-wave ODE in V = U**n is integrated from the crest
 (V(0) = V0, V'(0) = 0) until the profile reaches zero; the resulting
-half-width is cross-checked against an independent quadrature of the
-first integral, and the cutoff conditions at the edge are verified by
-one-sided finite differences.
+half-width is cross-checked against the closed form of the first
+integral (a complete beta function, ``half_width_quadrature``), and the
+cutoff conditions at the edge are verified by one-sided finite
+differences.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ for label, params in [
     nc = shoot(params, 1.0)
     scale = abs(c.B) * v0 ** (1 + 1 / params.n)
     print(f"  V0 (closed formula)     = {v0:.12g}")
-    print(f"  L from quadrature       = {nc.L_quadrature:.12g}")
+    print(f"  L in closed form (beta) = {nc.L_quadrature:.12g}")
     print(f"  L from shooting         = {nc.L_shoot:.12g}")
     print(f"  |dL|/L                  = "
           f"{abs(nc.L_shoot - nc.L_quadrature) / nc.L_quadrature:.2e}")

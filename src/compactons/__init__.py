@@ -42,6 +42,7 @@ from .shooting import (
     coefficients,
     concavity_check,
     half_width_quadrature,
+    inverse_beta_profile,
     shoot,
 )
 from .weakform import (

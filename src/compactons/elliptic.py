@@ -80,12 +80,12 @@ def complete_K(k) -> float:
     """Complete elliptic integral of the first kind, K(k).
 
     For an imaginary modulus ``i*kappa`` returns the quarter period
-    K(kappa/sqrt(1+kappa^2)) / sqrt(1+kappa^2).
+    K(kappa/sqrt(1+kappa^2)) / sqrt(1+kappa^2) = pi / (2 agm(sqrt(1+kappa^2), 1)),
+    computed by the second form, which rounds once less.
     """
     k = _as_modulus(k)
     if k.is_imaginary:
-        kr, scale = _reduce_imaginary(k)
-        return complete_K(Modulus.real(kr)) / scale
+        return float(np.pi / (2.0 * agm(np.sqrt(1.0 + k.value * k.value), 1.0)))
     if k.value >= 1.0:
         raise DomainError(f"K(k) diverges for real modulus k={k.value} >= 1")
     kp = np.sqrt(1.0 - k.value * k.value)

@@ -1,4 +1,4 @@
-"""Numerical computation of symmetric compactons by shooting.
+"""Symmetric compactons of the reduced travelling-wave equation.
 
 The travelling-wave ODE for W = U**n reduces, after one integration
 with zero constants (forced by compact support), to the first integral
@@ -10,11 +10,18 @@ whose symmetric single-hump solution starts at the center amplitude
 V0 = (B/A)**(n/(m-1)) with V'(0) = 0 and falls to zero at the
 half-width L.  Two independent routes to the same object are computed:
 
-- a double-exponential quadrature of the half-width integral, and
+- the closed form: with v = V/V0, t = v**d, d = |m - 1|/n and
+  alpha = (n - min(1, m)) / (2|m - 1|), the half-width integral is the
+  complete beta function and the profile its inverse,
+
+      L = B(alpha, 1/2) / (d kappa),   kappa**2 = |B| V0**(1/n - 1),
+      U(xi) = V0**(1/n) * I^-1((L - |xi|)/L; alpha, 1/2) ** (1/|m - 1|),
+
+  which ``inverse_beta_profile`` returns as a callable, and
 - direct integration of the second-order oscillator
   V'' = (1/2) ((1 + 1/n) B V**(1/n) - (1 + m/n) A V**(m/n))
   with event detection at a small cutoff amplitude and an asymptotic
-  continuation through the non-Lipschitz endpoint.
+  continuation through the non-Lipschitz endpoint (``shoot``).
 
 The 1/2 factor in the oscillator is what differentiating the first
 integral gives.
@@ -29,7 +36,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp, tanhsinh
+# tanhsinh is no longer called here; perfbench/spans.py patches
+# shooting.tanhsinh by name, so the name stays until the benchmark drops it
+from scipy.integrate import solve_ivp, tanhsinh  # noqa: F401
 
 from .params import EquationParams, InvalidParameters, ProcedureRejection
 
@@ -41,6 +50,7 @@ __all__ = [
     "center_amplitude",
     "concavity_check",
     "half_width_quadrature",
+    "inverse_beta_profile",
     "shoot",
 ]
 
@@ -59,7 +69,6 @@ class ShootTolerances:
     atol_scale: float = 1e-12   # absolute tolerance is atol_scale * V0
     cut_scale: float = 1e-3     # switch to the desingularized tail here
     grid_points: int = 801
-    quad_rtol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -144,44 +153,19 @@ def concavity_check(params: EquationParams, g: float) -> bool:
     return coeffs.A * (1.0 - params.m) < 0
 
 
-def _scaled_quadrature(m: float, n: float, t_hi: float, rtol: float) -> float:
-    """integral_0^t_hi dt / sqrt(|t**(1+1/n) - t**(1+m/n)|), exactly.
-
-    With elo/ehi the smaller/larger of the two exponents, the integrand
-    is t**(-elo/2) / sqrt(1 - t**(ehi-elo)); substituting t = s**k with
-    k = 2/(2 - elo) absorbs the left singularity analytically, leaving
-    k * (1 - s**(k*(ehi-elo)))**(-1/2), which tanh-sinh quadrature
-    handles at full accuracy.
-    """
-    e1 = 1.0 + 1.0 / n
-    e2 = 1.0 + m / n
-    elo, ehi = min(e1, e2), max(e1, e2)
-    k = 2.0 / (2.0 - elo)
-    q = k * (ehi - elo)
-
-    # a second substitution u = 1 - s keeps the remaining inverse-sqrt
-    # singularity at u = 0, where quadrature nodes are exactly
-    # representable, and 1 - s**q = -expm1(q*log1p(-u)) stays accurate
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        return k / np.sqrt(-np.expm1(q * np.log1p(-u)))
-
-    res = tanhsinh(f, 1.0 - t_hi ** (1.0 / k), 1.0, rtol=rtol)
-    if not res.success:
-        raise ProcedureRejection(f"half-width quadrature failed: status {res.status}")
-    return float(res.integral)
-
-
 def half_width_quadrature(coeffs: ReducedCoefficients, params: EquationParams,
-                          V0: float, rtol: float = 1e-12) -> float:
-    """Half-width L as the quadrature of dV / |V'| from 0 to V0.
+                          V0: float) -> float:
+    """Half-width L as the integral of dV / |V'| from 0 to V0, in closed form.
 
     Substituting V = V0*t reduces the integral to
     V0**((n-1)/(2n)) / sqrt(|B|) * integral_0^1 dt / sqrt(|t**(1+1/n) - t**(1+m/n)|),
-    which has integrable algebraic singularities at both ends whenever
-    min(1, m) < n; a divergent endpoint means the profile has a
-    non-compact tail and the request is rejected.
+    and t -> t**(1/d) turns the last integral into B(alpha, 1/2) / d
+    (module docstring).  It has integrable algebraic singularities at both
+    ends whenever min(1, m) < n; a divergent endpoint means the profile has
+    a non-compact tail and the request is rejected.
     """
+    from scipy.special import betaln
+
     m, n = params.m, params.n
     if V0 <= 0:
         raise InvalidParameters(f"V0 must be positive, got {V0}")
@@ -190,8 +174,57 @@ def half_width_quadrature(coeffs: ReducedCoefficients, params: EquationParams,
             f"half-width integral diverges at V = 0 for min(1, m) = "
             f"{min(1.0, m):.6g} >= n = {n:.6g}: tail is not compact"
         )
-    integral = _scaled_quadrature(m, n, 1.0, rtol)
-    return V0 ** ((n - 1.0) / (2.0 * n)) / math.sqrt(abs(coeffs.B)) * integral
+    return (V0 ** ((n - 1.0) / (2.0 * n)) / math.sqrt(abs(coeffs.B))
+            * math.exp(betaln(_alpha(params), 0.5)) * n / abs(m - 1.0))
+
+
+def _alpha(params: EquationParams) -> float:
+    """alpha = (n - min(1, m)) / (2|m - 1|), the beta parameter of the hump."""
+    return (params.n - min(1.0, params.m)) / (2.0 * abs(params.m - 1.0))
+
+
+def _crest(params: EquationParams, g: float) -> tuple[ReducedCoefficients, float]:
+    """Coefficients and center amplitude, once the crest curves downward."""
+    coeffs = coefficients(params, g)
+    V0 = center_amplitude(coeffs, params)
+    if not concavity_check(params, g):
+        raise ProcedureRejection(
+            "concavity check failed: the crest curves upward, no symmetric "
+            "single-hump compacton at these parameters"
+        )
+    return coeffs, V0
+
+
+def inverse_beta_profile(params: EquationParams, g: float):
+    """The compacton in closed form: (U as a callable, L).
+
+    U(xi) = V0**(1/n) * I^-1(y; alpha, 1/2) ** (1/|m - 1|) with
+    y = (L - |xi|)/L, formed from the difference, and U = 0 for
+    |xi| >= L.  Where the true t = I^-1(y) underflows, ``betaincinv``
+    stops at the smallest normal float instead of decaying, so below
+    t = 1e-300 the leading term of I(t) = t**alpha / (alpha B(alpha, 1/2))
+    gives log t = (log alpha + log B(alpha, 1/2) + log y) / alpha.
+    """
+    from scipy.special import betaincinv, betaln
+
+    coeffs, V0 = _crest(params, g)
+    L = half_width_quadrature(coeffs, params, V0)
+    alpha = _alpha(params)
+    log_front = math.log(alpha) + betaln(alpha, 0.5)
+    U0, power = V0 ** (1.0 / params.n), 1.0 / abs(params.m - 1.0)
+
+    def u_eval(xi):
+        y = (L - np.abs(np.asarray(xi, dtype=float))) / L
+        u = np.zeros_like(y)
+        inside = y > 0
+        t = betaincinv(alpha, 0.5, y[inside])
+        tiny = t < 1e-300
+        u_in = U0 * t ** power
+        u_in[tiny] = U0 * np.exp((log_front + np.log(y[inside][tiny])) / alpha * power)
+        u[inside] = u_in
+        return u
+
+    return u_eval, L
 
 
 def _tail_exponents(coeffs: ReducedCoefficients, params: EquationParams):
@@ -237,14 +270,8 @@ def shoot(params: EquationParams, g: float,
     """
     tol = tolerances or ShootTolerances()
     m, n = params.m, params.n
-    coeffs = coefficients(params, g)
-    V0 = center_amplitude(coeffs, params)
-    if not concavity_check(params, g):
-        raise ProcedureRejection(
-            "concavity check failed: the crest curves upward, no symmetric "
-            "single-hump compacton at these parameters"
-        )
-    L_quad = half_width_quadrature(coeffs, params, V0, rtol=tol.quad_rtol)
+    coeffs, V0 = _crest(params, g)
+    L_quad = half_width_quadrature(coeffs, params, V0)
     r, D, S, gamma = _tail_exponents(coeffs, params)
 
     c1 = 0.5 * (1.0 + 1.0 / n) * coeffs.B

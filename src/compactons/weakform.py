@@ -22,10 +22,17 @@ phi-derivatives from one bump table (mask, exp(-v) and the powers of y
 and v computed once, by multiplication), and forms both integrands from
 those arrays.  The two integrals keep separate stopping tests, so each
 stops exactly where it would if integrated alone.
+
+The integrals run piece by piece: each bump's support inside [-L, L] is
+split at 0, at the bump's center, and at the zeros of phi^(hi).  In
+y = (xi - center)/width those zeros are fixed numbers per derivative
+order and modulation degree, found once from the same prefactor table,
+so the norm integrand |b*U**n*phi^(hi)| has no kink inside a piece.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -170,12 +177,40 @@ _DOUBLINGS = 6  # refinements after the first 4-panel estimate
 _RTOL = 1e-13
 
 
-def _support_pieces(L: float, tf: TestFunction) -> list[tuple[float, float]]:
+@functools.cache
+def _phi_zeros(order: int, degree: int) -> tuple[float, ...]:
+    """Zeros in (-1, 1) of d^order/dy^order (y**degree * B(y)).
+
+    By the Leibniz rule the derivative is B(y) times
+    sum_j C(order, j) degree!/(degree - j)! y**(degree - j) R_(order - j)(y);
+    multiplied by (1 - y**2)**k for the largest power k of v in it, that
+    sum is a polynomial in y, whose real roots inside (-1, 1) these are.
+    """
+    P = np.polynomial.Polynomial
+    js = range(min(order, degree) + 1)
+    top = max(k for j in js for _, k in _R[order - j])
+    poly = P([0.0])
+    for j in js:
+        falling = math.perm(degree, j) * math.comb(order, j)
+        for (i, k), cf in _R[order - j].items():
+            poly += (falling * cf * P.basis(degree - j + i)
+                     * P([1.0, 0.0, -1.0]) ** (top - k))
+    return tuple(sorted(float(r.real) for r in poly.roots()
+                        if abs(r.imag) < 1e-9 and abs(r.real) < 1.0))
+
+
+def _support_pieces(L: float, tf: TestFunction,
+                    order: int) -> list[tuple[float, float]]:
+    """Pieces of the bump's support inside [-L, L] on which the integrands
+    are smooth: split at 0, at the bump's center and at the zeros of
+    phi^(order), where the norm integrand |b*u**n*phi^(order)| has a kink."""
     lo = max(-L, tf.center - tf.width)
     hi = min(L, tf.center + tf.width)
     if hi <= lo:
         return []
-    breaks = sorted({lo, hi, 0.0} | {x for x in (-L, L, tf.center) if lo < x < hi})
+    zeros = [tf.center + tf.width * y
+             for y in _phi_zeros(order, tf.modulation_degree)]
+    breaks = sorted({lo, hi} | {x for x in (0.0, tf.center, *zeros) if lo < x < hi})
     return list(zip(breaks[:-1], breaks[1:]))
 
 
@@ -197,7 +232,7 @@ def _residual(u_eval, params: EquationParams, g: float, tf: TestFunction,
     """
     m, n, a, b = params.m, params.n, params.a, params.b
     raw = norm = err = 0.0
-    for lo, hi in _support_pieces(L, tf):
+    for lo, hi in _support_pieces(L, tf, phi_high):
         value = [0.0, 0.0]      # raw, norm on this piece
         delta = [0.0, 0.0]
         live = [True, True]

@@ -1,13 +1,14 @@
 """Shared fixtures: admissible parameter draws and profile helpers."""
 
+import math
 from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp, tanhsinh
 
 from compactons import catalog
 from compactons.catalog import FamilyId
-from compactons.shooting import center_amplitude, coefficients, half_width_quadrature
+from compactons.shooting import center_amplitude, coefficients
 
 # Three admissible parameter draws per family.  The free power is n for
 # every family except COS2 (parameterized by m with n = 1); the sign of
@@ -72,7 +73,7 @@ def oscillator_energy_residual(params, g, factor):
     m, n = params.m, params.n
     c = coefficients(params, g)
     V0 = center_amplitude(c, params)
-    L = half_width_quadrature(c, params, V0)
+    L = tanhsinh_half_width(params, g)
 
     def rhs(_, y):
         v = max(y[0], 0.0)
@@ -89,3 +90,32 @@ def oscillator_energy_residual(params, g, factor):
     V = np.clip(V, 0.0, None)
     energy = np.abs(W ** 2 - c.B * V ** (1 + 1 / n) + c.A * V ** (1 + m / n))
     return float(energy.max()) / (abs(c.B) * V0 ** (1 + 1 / n))
+
+
+def tanhsinh_half_width(params, g):
+    """Half-width L = integral_0^V0 dV / |V'| by tanh-sinh quadrature: the
+    route independent of the closed form ``shooting.half_width_quadrature``.
+
+    Substituting V = V0*t gives
+    L = V0**((n-1)/(2n)) / sqrt(|B|) * integral_0^1 dt / sqrt(|t**e1 - t**e2|)
+    with e1 = 1 + 1/n, e2 = 1 + m/n.  With elo/ehi the smaller/larger
+    exponent the integrand is t**(-elo/2) / sqrt(1 - t**(ehi-elo));
+    t = s**k with k = 2/(2 - elo) absorbs the left singularity, leaving
+    k * (1 - s**(k*(ehi-elo)))**(-1/2), and u = 1 - s keeps the remaining
+    inverse-sqrt singularity at u = 0, where quadrature nodes are exactly
+    representable and 1 - s**q = -expm1(q*log1p(-u)) stays accurate.
+    """
+    m, n = params.m, params.n
+    c = coefficients(params, g)
+    V0 = center_amplitude(c, params)
+    e1, e2 = 1.0 + 1.0 / n, 1.0 + m / n
+    elo, ehi = min(e1, e2), max(e1, e2)
+    k = 2.0 / (2.0 - elo)
+    q = k * (ehi - elo)
+
+    def f(u):
+        return k / np.sqrt(-np.expm1(q * np.log1p(-np.asarray(u, dtype=float))))
+
+    res = tanhsinh(f, 0.0, 1.0, rtol=1e-12)
+    assert res.success, res.status
+    return V0 ** ((n - 1.0) / (2.0 * n)) / math.sqrt(abs(c.B)) * float(res.integral)

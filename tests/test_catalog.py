@@ -25,11 +25,11 @@ from compactons.params import InvalidParameters, ProcedureRejection
 from compactons.shooting import (
     center_amplitude,
     coefficients,
-    half_width_quadrature,
+    inverse_beta_profile,
     shoot,
 )
 
-from conftest import DRAWS, profile_eval, strong_residual_scaled
+from conftest import DRAWS, profile_eval, strong_residual_scaled, tanhsinh_half_width
 
 ALL_FAMILIES = list(FamilyId)
 
@@ -259,7 +259,7 @@ class TestFirstIntegral:
         V0 = center_amplitude(coeffs, prof.params)
         crest = evaluate(prof, 0.0)
         assert abs(crest - V0 ** (1 / prof.params.n)) <= 2e-14 * crest
-        L_quad = half_width_quadrature(coeffs, prof.params, V0)
+        L_quad = tanhsinh_half_width(prof.params, prof.g)
         assert abs(prof.L - L_quad) <= 4e-15 * prof.L
 
     @pytest.mark.parametrize("point", FIRST_INTEGRAL_POINTS, ids=_point_id)
@@ -287,6 +287,26 @@ class TestFirstIntegral:
                 assert dev <= 5e-14 * evaluate(p_cn, 0.0)
 
 
+def _inverse_beta(params, g):
+    """(L, U) of the E = 0 first integral from its inverse-beta closed form,
+    formed here from (m, n, a, b, g) alone."""
+    m, n, a, b = params.m, params.n, params.a, params.b
+    A = 2 * n * a / ((m + n) * b)
+    B = 2 * n * g / ((n + 1) * b)
+    V0 = (B / A) ** (n / (m - 1))
+    U0 = V0 ** (1 / n)
+    kappa = math.sqrt(abs(B) * V0 ** (1 / n - 1))
+    alpha = (n - min(1.0, m)) / (2 * abs(m - 1))
+    L = math.exp(betaln(alpha, 0.5)) / (abs(m - 1) / n * kappa)
+
+    def U(xs):
+        # y from the difference, never as 1 - |xi|/L
+        y = np.clip((L - np.abs(xs)) / L, 0.0, 1.0)
+        return U0 * betaincinv(alpha, 0.5, y) ** (1 / abs(m - 1))
+
+    return L, U
+
+
 class TestInverseBetaOracle:
     """The E = 0 first integral inverts in closed form.  With V = V0*v,
     kappa**2 = |B| V0**(1/n - 1), t = v**d, d = |m - 1|/n and
@@ -301,20 +321,24 @@ class TestInverseBetaOracle:
     def test_half_width_and_profile(self, point):
         family, kw = point
         prof = construct(family, **kw)
-        m, n, a, b = prof.params.m, prof.params.n, prof.params.a, prof.params.b
-        A = 2 * n * a / ((m + n) * b)
-        B = 2 * n * prof.g / ((n + 1) * b)
-        V0 = (B / A) ** (n / (m - 1))
-        U0 = V0 ** (1 / n)
-        kappa = math.sqrt(abs(B) * V0 ** (1 / n - 1))
-        alpha = (n - min(1.0, m)) / (2 * abs(m - 1))
-        L = math.exp(betaln(alpha, 0.5)) / (abs(m - 1) / n * kappa)
+        L, U = _inverse_beta(prof.params, prof.g)
         assert abs(prof.L - L) <= 2e-15 * L
         xs = np.linspace(-L, L, 4001)
-        # y from the difference, never as 1 - |xi|/L
-        y = np.clip((L - np.abs(xs)) / L, 0.0, 1.0)
-        U = U0 * betaincinv(alpha, 0.5, y) ** (1 / abs(m - 1))
-        assert np.max(np.abs(evaluate(prof, xs) - U)) <= 2e-14 * U0
+        U0 = U(np.zeros(1))[0]
+        assert np.max(np.abs(evaluate(prof, xs) - U(xs))) <= 2e-14 * U0
+
+    @pytest.mark.parametrize("point", FIRST_INTEGRAL_POINTS, ids=_point_id)
+    def test_numeric_profile_is_the_formula(self, point):
+        # the numeric path's profile against this test's own formula, on
+        # the same 4001 points and a little beyond the support
+        family, kw = point
+        prof = construct(family, **kw)
+        L, U = _inverse_beta(prof.params, prof.g)
+        u_eval, L_num = inverse_beta_profile(prof.params, prof.g)
+        assert abs(L_num - L) <= 2e-15 * L
+        xs = np.linspace(-1.01 * L, 1.01 * L, 4001)
+        U0 = U(np.zeros(1))[0]
+        assert np.max(np.abs(u_eval(xs) - U(xs))) <= 2e-14 * U0
 
 
 class TestScaling:

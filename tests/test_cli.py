@@ -161,9 +161,44 @@ class TestVerify:
         assert len(data["reports"]["K"]["residuals"]) == 25
 
     def test_numeric_profile(self, capsys):
-        code = main(["verify", "--numeric", "--m", "2.25", "--n", "2",
-                     "--threshold", "1e-3"])
+        code = main(["verify", "--numeric", "--m", "2.25", "--n", "2"])
         assert code == EXIT_OK
+
+
+class TestEndpointFitUnavailable:
+    """A valid profile whose U underflows before the fit's samples near the
+    edge (p of several hundred) keeps the exit code its verdicts give and
+    writes its report with ``"endpoint_power_fit": null``."""
+
+    @pytest.mark.parametrize("argv", [
+        # cos1 n ~ 1.0053 (p ~ 375), the benchmark's catalog task at seed 1
+        ["--family", "cos1", "--n=1.0053264987984318", "--a=-1.4632204184219495",
+         "--b=-2.5219354897859816", "--g=-1.0951310509240273", "--equation", "both"],
+        # and at seed 2
+        ["--family", "cos1", "--n=1.0060146479321133", "--a=-1.796210572693451",
+         "--b=-1.6836399535874613", "--g=-2.07469107916861", "--equation", "both"],
+        # numeric m = 0.7635, n = 0.7709 (p ~ 270), its numeric task at seed 1
+        ["--numeric", "--m=0.7635304351036482", "--n=0.7709399152615757",
+         "--a=-1.3008770185109313", "--b=1.996764207658639",
+         "--g=-2.0183222013669484", "--equation", "K"],
+    ], ids=["cos1-seed1", "cos1-seed2", "numeric-p270"])
+    def test_exit_from_verdicts_and_null_fit(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        code = main(["verify", *argv, "-o", str(out)])
+        assert code == EXIT_OK
+        text = capsys.readouterr().out
+        assert "endpoint power fit: unavailable (" in text
+        assert "FAIL" not in text
+        data = json.loads(out.read_text())
+        assert data["endpoint_power_fit"] is None
+        assert data["passed"] is True
+
+    def test_failed_verdict_still_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--family", "cos1", "--n", "1.00533",
+                     "--threshold", "1e-20", "-o", str(out)])
+        assert code == EXIT_VERIFY_FAILED
+        assert json.loads(out.read_text())["endpoint_power_fit"] is None
 
 
 class TestFloatRange:

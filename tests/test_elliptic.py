@@ -1,5 +1,6 @@
 """Elliptic function identities, oracle agreement, and domain handling."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,16 @@ class TestCompleteK:
         assert val == pytest.approx(1.3110287771460596, abs=1e-13)
         assert val == pytest.approx(complete_K(1 / np.sqrt(2)) / np.sqrt(2),
                                     abs=1e-13)
+
+    def test_imaginary_modulus_vs_mpmath(self):
+        # K(i*kappa) = K(m = -kappa**2); one AGM, without the real-modulus
+        # detour K(kappa/sqrt(1+kappa**2))/sqrt(1+kappa**2) and its second
+        # rounding (up to 3.0e-16 here; 1.4e-16 measured now)
+        mpmath.mp.dps = 40
+        for kappa in (0.25, 0.5, 1.0, 2.0, 5.0):
+            want = mpmath.ellipk(-mpmath.mpf(kappa) ** 2)
+            got = complete_K(Modulus.imaginary(kappa))
+            assert abs(mpmath.mpf(got) - want) <= 1.5e-16 * want, kappa
 
     def test_divergent_real_modulus(self):
         with pytest.raises(DomainError):

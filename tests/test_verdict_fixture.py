@@ -2,8 +2,10 @@
 
 ``tests/data/weak_residuals_parent.json`` holds, for each point below,
 the K and KP reports of ``verify_weak`` (every scaled residual and the
-quadrature error estimate), as the verifier computed them before its
-residual and norm integrals shared one node set.  A change that only
+quadrature error estimate), as the verifier computed them when the file
+was last regenerated: with every piece split at the zeros of phi^(hi),
+and the fig. 5 profiles in inverse-beta closed form, built by the same
+function ``compactons verify --numeric`` uses.  A change that only
 reorganises the arithmetic must keep every verdict and every entry to
 1e-12.
 
@@ -22,7 +24,7 @@ from functools import partial
 
 import pytest
 
-from compactons import catalog, cli, shooting, weakform
+from compactons import catalog, shooting, weakform
 from compactons.catalog import FamilyId
 from compactons.params import EquationParams
 
@@ -42,7 +44,7 @@ POINTS = [
     # p = 375: bumps that touch only the far tail
     {"family": "cos1", "n": 1.00533},
     {"family": "ratcn5", "n": 0.345, "b": -1.0},
-    # fig. 5 of the paper, left and right: shooting profiles
+    # fig. 5 of the paper, left and right: numeric (inverse-beta) profiles
     {"m": 2.25, "n": 2.0},
     {"m": 0.5, "n": 0.9, "b": -1.0},
 ]
@@ -54,8 +56,8 @@ def _profile(point: dict):
     family = kw.pop("family", None)
     if family is None:
         params = EquationParams(**{"a": 1.0, "b": 1.0, **kw})
-        nc = shooting.shoot(params, 1.0)
-        return cli._numeric_callable(nc), params, nc.L_shoot
+        u_eval, L = shooting.inverse_beta_profile(params, 1.0)
+        return u_eval, params, L
     prof = catalog.construct(FamilyId(family), **kw)
     return partial(catalog.evaluate, prof), prof.params, prof.L
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from compactons import weakform
 from compactons.catalog import FamilyId, construct, evaluate
 from compactons.params import EquationParams, InvalidParameters
+from compactons.shooting import inverse_beta_profile
 from compactons.weakform import (
     TestFunction,
     boundary_quantities,
@@ -271,10 +272,80 @@ class TestSharedNodes:
             def norm_f(x):
                 return np.abs(pr.b * ev(x) ** pr.n * evaluate_testfn(tf, x, hi))
 
-            pieces = weakform._support_pieces(prof.L, tf)
+            pieces = weakform._support_pieces(prof.L, tf, hi)
             raw, err = _integrate_separately(raw_f, pieces)
             norm, _ = _integrate_separately(norm_f, pieces)
             assert weakform._residual(ev, pr, g, tf, prof.L, lo, hi) == (raw, norm, err)
+
+
+class TestPhiZeroBreaks:
+    """The pieces split at every sign change of phi^(order), where the norm
+    integrand |b*u**n*phi^(order)| has a kink."""
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_zeros_are_sign_changes(self, order, degree):
+        tf = TestFunction(center=0.3, width=1.7, modulation_degree=degree)
+        ys = weakform._phi_zeros(order, degree)
+        grid = np.linspace(-1.0, 1.0, 200000)   # y = 0 is not a node
+        scale = np.max(np.abs(evaluate_testfn(tf, tf.center + tf.width * grid, order)))
+        signs = np.sign(evaluate_testfn(tf, tf.center + tf.width * grid, order))
+        # every sign change of the dense grid lies next to one listed zero
+        changes = grid[1:][signs[1:] * signs[:-1] < 0]
+        assert len(changes) == len(ys)
+        for y in ys:
+            x = tf.center + tf.width * y
+            assert abs(evaluate_testfn(tf, x, order)) <= 1e-12 * scale
+            h = 1e-6 * tf.width
+            assert evaluate_testfn(tf, x - h, order) * evaluate_testfn(tf, x + h, order) < 0
+
+    def test_zero_table(self):
+        # ROADMAP item 11's table, to the four digits it prints
+        assert np.round(weakform._phi_zeros(3, 0), 4).tolist() == [
+            -0.8951, -0.6105, 0.0, 0.6105, 0.8951]
+        assert np.round(weakform._phi_zeros(4, 1), 4).tolist() == [
+            -0.9372, -0.8571, -0.5461, 0.0, 0.5461, 0.8571, 0.9372]
+
+    def test_pieces_cover_the_support_once(self):
+        L = 2.0
+        for tf in bump_battery(L):
+            for order in (3, 4):
+                pieces = weakform._support_pieces(L, tf, order)
+                if not pieces:
+                    assert tf.center - tf.width >= L or tf.center + tf.width <= -L
+                    continue
+                assert pieces[0][0] == max(-L, tf.center - tf.width)
+                assert pieces[-1][1] == min(L, tf.center + tf.width)
+                assert all(a < b for a, b in pieces)
+                assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+
+
+class TestWorkCount:
+    """Points given to the profile per report, pinned at the measured count
+    plus 10%.  A change that means to move them updates these numbers and
+    says so; one that does not must not exceed them."""
+
+    @pytest.mark.parametrize("case,equation,pinned", [
+        ((FamilyId.COS1, dict(n=2.0)), "K", 41472),
+        ((FamilyId.RATCN5, dict(n=0.5, b=-1)), "KP", 52608),
+        ((FamilyId.ZSQ2, dict(n=1.875, b=-1)), "KP", 354688),
+        (EquationParams(m=2.25, n=2.0, a=1.0, b=1.0), "K", 41856),
+    ], ids=["cos1-2-K", "ratcn5-0.5-KP", "zsq2-1.875-KP", "fig5-left-K"])
+    def test_points_per_report(self, case, equation, pinned):
+        if isinstance(case, EquationParams):
+            params = case
+            u_eval, L = inverse_beta_profile(params, 1.0)
+        else:
+            prof = construct(case[0], **case[1])
+            params, u_eval, L = prof.params, profile_eval(prof), prof.L
+        seen = []
+
+        def counted(x):   # as perfbench/spans.py wraps it
+            seen.append(np.size(x))
+            return u_eval(x)
+
+        verify_weak(counted, params, 1.0, L, equation)
+        assert sum(seen) <= 1.1 * pinned
 
 
 class TestBoundaryQuantities:
