@@ -278,8 +278,13 @@ def cmd_verify(args) -> int:
         reports[eq] = rep
         print(f"{label} [{eq}] max scaled residual {rep.max_abs_scaled:.3e} "
               f"(threshold {args.threshold:g}) -> {'pass' if ok else 'FAIL'}")
-    bq = weakform.boundary_quantities(u_eval, params, spec.g, L)
-    print("boundary A1..A4: " + ", ".join(f"{q:.3e}" for q in bq))
+    try:
+        bq = list(weakform.boundary_quantities(u_eval, params, spec.g, L))
+        print("boundary A1..A4: " + ", ".join(f"{q:.3e}" for q in bq))
+    except InvalidParameters as exc:
+        # as for the fit below: a diagnostic that cannot be computed
+        bq = None
+        print(f"boundary A1..A4: unavailable ({exc})")
     try:
         pfit = weakform.endpoint_power_fit(u_eval, L)
         print(f"endpoint power fit: {pfit:.4f}")
@@ -293,12 +298,12 @@ def cmd_verify(args) -> int:
             "profile": label,
             "threshold": args.threshold,
             "passed": not failed,
-            "boundary_quantities": list(bq),
+            "boundary_quantities": bq,
             "endpoint_power_fit": pfit,
             "reports": {eq: json.loads(rep.to_json())
                         for eq, rep in reports.items()},
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 

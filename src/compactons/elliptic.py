@@ -127,19 +127,23 @@ def jacobi(z, k):
     Real moduli require ``0 <= k < 1`` (use the reciprocal-modulus
     identity externally for k > 1).  Imaginary moduli are reduced to a
     real modulus by the standard transformation; the returned ``dn`` is
-    then ``sqrt(1 + kappa^2 sn^2)``.
+    then ``sqrt(1 + kappa^2 sn^2)``.  A scalar ``z`` takes the array path
+    and is unwrapped, so it rounds exactly as a one-element array does.
     """
+    z_arr = np.asarray(z)
+    if z_arr.ndim == 0:
+        return tuple(f[0] for f in jacobi(z_arr.reshape(1), k))
     k = _as_modulus(k)
     if k.is_imaginary:
         kr, scale = _reduce_imaginary(k)
-        s, c, d = _jacobi_real(np.asarray(z) * scale, kr)
+        s, c, d = _jacobi_real(z_arr * scale, kr)
         sn = s / (scale * d)
         cn = c / d
         dn = np.sqrt(1.0 + (k.value * sn) ** 2)
         return sn, cn, dn
     if k.value >= 1.0:
         raise DomainError(f"real modulus k={k.value} >= 1 is outside the supported range")
-    return _jacobi_real(z, k.value)
+    return _jacobi_real(z_arr, k.value)
 
 
 def inverse_cn(x: float, k) -> float:

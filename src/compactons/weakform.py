@@ -28,6 +28,14 @@ split at 0, at the bump's center, and at the zeros of phi^(hi).  In
 y = (xi - center)/width those zeros are fixed numbers per derivative
 order and modulation degree, found once from the same prefactor table,
 so the norm integrand |b*U**n*phi^(hi)| has no kink inside a piece.
+
+A report integrates its whole battery at once, one refinement level at
+a time: each level gathers every (bump, piece) pair with a live
+integral, evaluates U on their nodes in a few calls of at most _CHUNK
+points, and takes the phi-derivatives of all of them from one bump table
+with per-point center, width and modulation degree.  Every piece keeps
+the nodes, the stopping tests and the summation order it would have if
+integrated alone, so the batching changes no bit of any residual.
 """
 
 from __future__ import annotations
@@ -137,21 +145,35 @@ def _bump_derivs(y: np.ndarray, orders) -> tuple[np.ndarray, dict[int, np.ndarra
     return mask, out
 
 
-def _testfn_derivs(tf: TestFunction, x: np.ndarray, orders) -> list[np.ndarray]:
-    """phi^(r)(x) for every r in ``orders``: the Leibniz rule for the
-    monomial factor over one shared table of bump derivatives."""
-    xc = x - tf.center
-    y = xc / tf.width
-    d = tf.modulation_degree
-    mask, B = _bump_derivs(y, sorted({r - j for r in orders
+def _testfn_derivs(tfs: list[TestFunction], which: np.ndarray, x: np.ndarray,
+                   orders) -> list[np.ndarray]:
+    """phi^(r)(x) for every r in ``orders``, where point i belongs to the
+    test function ``tfs[which[i]]``: the Leibniz rule for the monomial
+    factor over one shared table of bump derivatives, taken per
+    modulation degree over the points of that degree."""
+    xc = x - np.array([tf.center for tf in tfs])[which]
+    y = xc / np.array([tf.width for tf in tfs])[which]
+    degrees = sorted({tf.modulation_degree for tf in tfs})
+    mask, B = _bump_derivs(y, sorted({r - j for d in degrees for r in orders
                                       for j in range(min(r, d) + 1)}))
-    XC = _powers(xc[mask], d)
+    xcm, wm = xc[mask], which[mask]
+    dm = np.array([tf.modulation_degree for tf in tfs])[wm]
+    # width**(-e) as a Python float per test function (numpy's power can
+    # round differently in the last place)
+    wpow = np.array([[tf.width ** -e for e in range(_MAX_ORDER + 1)] for tf in tfs])
+    accs = [np.empty_like(xcm) for _ in orders]
+    for d in degrees:
+        sel = dm == d
+        XC = _powers(xcm[sel], d)
+        for acc, order in zip(accs, orders):
+            part = np.zeros_like(XC[0])
+            for j in range(min(order, d) + 1):
+                falling = math.perm(d, j) * math.comb(order, j)
+                part += (falling * XC[d - j] * B[order - j][sel]
+                         * wpow[wm[sel], order - j])
+            acc[sel] = part
     outs = []
-    for order in orders:
-        acc = np.zeros_like(XC[0])
-        for j in range(min(order, d) + 1):
-            falling = math.perm(d, j) * math.comb(order, j)
-            acc += falling * XC[d - j] * B[order - j] * tf.width ** (j - order)
+    for acc in accs:
         out = np.zeros_like(y)
         out[mask] = acc
         outs.append(out)
@@ -163,10 +185,9 @@ def evaluate_testfn(tf: TestFunction, xi, order: int = 0):
     prefactor recurrence and the Leibniz rule for the monomial factor."""
     if not 0 <= order <= _MAX_ORDER:
         raise InvalidParameters(f"derivative order must be 0..4, got {order}")
-    xi_arr = np.asarray(xi, dtype=float)
-    scalar = xi_arr.ndim == 0
-    (out,) = _testfn_derivs(tf, np.atleast_1d(xi_arr), (order,))
-    return float(out[0]) if scalar else out
+    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    (out,) = _testfn_derivs([tf], np.zeros(xi_arr.shape, dtype=int), xi_arr, (order,))
+    return float(out[0]) if np.ndim(xi) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +196,7 @@ def evaluate_testfn(tf: TestFunction, xi, order: int = 0):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _DOUBLINGS = 6  # refinements after the first 4-panel estimate
 _RTOL = 1e-13
+_CHUNK = 4096    # most points given to u per call, unless one piece has more
 
 
 @functools.cache
@@ -214,56 +236,79 @@ def _support_pieces(L: float, tf: TestFunction,
     return list(zip(breaks[:-1], breaks[1:]))
 
 
-def _residual(u_eval, params: EquationParams, g: float, tf: TestFunction,
-              L: float, phi_low: int, phi_high: int) -> tuple[float, float, float]:
-    """Signed raw residual, scaling norm, and quadrature error.
+def _residuals(u_eval, params: EquationParams, g: float, tfs: list[TestFunction],
+               L: float, phi_low: int, phi_high: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed raw residual, scaling norm, and quadrature error per test
+    function of ``tfs``.
 
     The raw integrand is (-g*u + a*u**m)*phi^(low) + b*u**n*phi^(high)
     and the norm integrand |b*u**n*phi^(high)|.  Both are integrated in
     one pass of adaptive panel-doubling Gauss-Legendre over each smooth
-    piece: 4 panels, doubled up to 6 times.  Every level evaluates u and
-    the phi-derivatives once per node, from one bump table, and forms
-    both integrands from the same arrays.  Each integral keeps its own
-    stopping test (two successive levels within _RTOL*max(1, |value|))
-    and its own cap, so sharing nodes never changes where either stops;
-    once one has stopped, a level computes only what the other needs.
-    The error estimate is the last change of the raw integral, summed
-    over the pieces.
+    piece of each bump's support: 4 panels, doubled up to 6 times.  The
+    loop is level-synchronous over every (bump, piece) pair: a level
+    gathers the pieces that still have a live integral, gives u their
+    nodes in chunks of at most _CHUNK points (a larger piece goes alone),
+    and forms both integrands from one u array and one bump table.  Each
+    integral of each piece keeps its own stopping test (two successive
+    levels within _RTOL*max(1, |value|)) and its own cap, and its value
+    and change are kept only while it is live, so batching never changes
+    where either stops.  A bump's raw integral, norm and error estimate
+    (the last change of the raw integral) are summed over its pieces in
+    order.
     """
     m, n, a, b = params.m, params.n, params.a, params.b
-    raw = norm = err = 0.0
-    for lo, hi in _support_pieces(L, tf, phi_high):
-        value = [0.0, 0.0]      # raw, norm on this piece
-        delta = [0.0, 0.0]
-        live = [True, True]
-        for level in range(_DOUBLINGS + 1):
-            edges = np.linspace(lo, hi, 4 * 2 ** level + 1)
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            halfw = 0.5 * (edges[1:] - edges[:-1])
-            x = (mid[:, None] + halfw[:, None] * _GL_NODES[None, :]).ravel()
+    pieces = [(i, lo, hi) for i, tf in enumerate(tfs)
+              for lo, hi in _support_pieces(L, tf, phi_high)]
+    owner = np.array([i for i, _, _ in pieces], dtype=int)
+    lo_arr = np.array([lo for _, lo, _ in pieces])
+    hi_arr = np.array([hi for _, _, hi in pieces])
+    value = np.zeros((len(pieces), 2))      # raw, norm per piece
+    delta = np.zeros((len(pieces), 2))
+    live = np.ones((len(pieces), 2), dtype=bool)
+    for level in range(_DOUBLINGS + 1):
+        active = np.flatnonzero(live.any(axis=1))
+        if not active.size:
+            break
+        panels = 4 * 2 ** level
+        per_piece = panels * len(_GL_NODES)
+        step = max(1, _CHUNK // per_piece)
+        for start in range(0, active.size, step):
+            idx = active[start:start + step]
+            edges = np.linspace(lo_arr[idx], hi_arr[idx], panels + 1, axis=1)
+            mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+            halfw = 0.5 * (edges[:, 1:] - edges[:, :-1])
+            x = (mid[:, :, None] + halfw[:, :, None] * _GL_NODES).ravel()
             u = np.asarray(u_eval(x), dtype=float)
-            if live[0]:
-                phi_lo, phi_hi = _testfn_derivs(tf, x, (phi_low, phi_high))
-            else:
-                (phi_hi,) = _testfn_derivs(tf, x, (phi_high,))
+            phi_lo, phi_hi = _testfn_derivs(tfs, np.repeat(owner[idx], per_piece),
+                                            x, (phi_low, phi_high))
             disp = b * u ** n * phi_hi
-            vals = ((-g * u + a * u ** m) * phi_lo + disp if live[0] else None,
-                    np.abs(disp) if live[1] else None)
-            for k, f in enumerate(vals):
-                if f is None:
-                    continue
-                cur = float(np.sum(halfw * (f.reshape(len(mid), -1) @ _GL_WEIGHTS)))
+            for k, f in enumerate(((-g * u + a * u ** m) * phi_lo + disp,
+                                   np.abs(disp))):
+                # a 2-D (panels, 32) @ weights product: a 3-D one can round
+                # differently from the product of one piece alone
+                panel = (f.reshape(-1, len(_GL_NODES)) @ _GL_WEIGHTS).reshape(halfw.shape)
+                cur = np.sum(halfw * panel, axis=1)
+                was = live[idx, k]
                 if level:
-                    delta[k] = abs(cur - value[k])
-                    live[k] = (level < _DOUBLINGS
-                               and delta[k] > _RTOL * max(1.0, abs(cur)))
-                value[k] = cur
-            if not any(live):
-                break
-        raw += value[0]
-        norm += value[1]
-        err += delta[0]
+                    change = np.abs(cur - value[idx, k])
+                    delta[idx[was], k] = change[was]
+                    live[idx, k] = was & (level < _DOUBLINGS) & (
+                        change > _RTOL * np.maximum(1.0, np.abs(cur)))
+                value[idx[was], k] = cur[was]
+    raw, norm, err = (np.zeros(len(tfs)) for _ in range(3))
+    np.add.at(raw, owner, value[:, 0])
+    np.add.at(norm, owner, value[:, 1])
+    np.add.at(err, owner, delta[:, 0])
     return raw, norm, err
+
+
+def _residual(u_eval, params: EquationParams, g: float, tf: TestFunction,
+              L: float, phi_low: int, phi_high: int) -> tuple[float, float, float]:
+    """Signed raw residual, scaling norm, and quadrature error against one
+    test function: `_residuals` with a battery of one."""
+    raw, norm, err = _residuals(u_eval, params, g, [tf], L, phi_low, phi_high)
+    return float(raw[0]), float(norm[0]), float(err[0])
 
 
 def residual_K(u_eval, params: EquationParams, g: float, tf: TestFunction,
@@ -317,10 +362,10 @@ def verify_weak(u_eval, params: EquationParams, g: float, L: float,
         raise InvalidParameters(f"equation must be 'K' or 'KP', got {equation!r}")
     lo, hi = (1, 3) if equation == "K" else (2, 4)
     tfs = battery if battery is not None else bump_battery(L)
+    raws, norms, errs = _residuals(u_eval, params, g, tfs, L, lo, hi)
     scaled = []
     max_err = 0.0
-    for tf in tfs:
-        raw, norm, err = _residual(u_eval, params, g, tf, L, lo, hi)
+    for raw, norm, err in zip(raws.tolist(), norms.tolist(), errs.tolist()):
         scaled.append(raw / norm if norm > 0 else 0.0)
         if norm > 0:
             max_err = max(max_err, err / norm)
@@ -340,7 +385,9 @@ def boundary_quantities(u_eval, params: EquationParams, g: float, L: float,
 
     Derivatives come from central differences on a stencil packed into
     [L - delta, L); values are reported at the stencil center, which
-    approaches the edge as delta shrinks.
+    approaches the edge as delta shrinks.  A stencil holding a U <= 0
+    where a quantity is not finite (U**(m - 1) at U = 0 for m < 1, or a
+    fractional power of a negative U) raises InvalidParameters.
     """
     m, n, a, b = params.m, params.n, params.a, params.b
     if delta is None:
@@ -349,18 +396,23 @@ def boundary_quantities(u_eval, params: EquationParams, g: float, L: float,
     center = L - delta / 2.0
     x = center + np.arange(-3, 4) * h
     U = np.asarray(u_eval(x), dtype=float)
-    W = U ** n
-    # 4th-order central stencils
-    d1 = (-W[5] + 8 * W[4] - 8 * W[2] + W[1]) / (12 * h)
-    d2 = (-W[5] + 16 * W[4] - 30 * W[3] + 16 * W[2] - W[1]) / (12 * h ** 2)
-    d3 = (W[0] - 8 * W[1] + 13 * W[2] - 13 * W[4] + 8 * W[5] - W[6]) / (8 * h ** 3)
-    u1 = (-U[5] + 8 * U[4] - 8 * U[2] + U[1]) / (12 * h)
-    uc = U[3]
-    A1 = b * W[3]
-    A2 = b * d1
-    A3 = -g * uc + a * uc ** m + b * d2
-    A4 = (-g + a * m * uc ** (m - 1)) * u1 + b * d3
-    return float(A1), float(A2), float(A3), float(A4)
+    with np.errstate(all="ignore"):
+        W = U ** n
+        # 4th-order central stencils
+        d1 = (-W[5] + 8 * W[4] - 8 * W[2] + W[1]) / (12 * h)
+        d2 = (-W[5] + 16 * W[4] - 30 * W[3] + 16 * W[2] - W[1]) / (12 * h ** 2)
+        d3 = (W[0] - 8 * W[1] + 13 * W[2] - 13 * W[4] + 8 * W[5] - W[6]) / (8 * h ** 3)
+        u1 = (-U[5] + 8 * U[4] - 8 * U[2] + U[1]) / (12 * h)
+        uc = U[3]
+        A1 = b * W[3]
+        A2 = b * d1
+        A3 = -g * uc + a * uc ** m + b * d2
+        A4 = (-g + a * m * uc ** (m - 1)) * u1 + b * d3
+    out = (float(A1), float(A2), float(A3), float(A4))
+    if not all(map(math.isfinite, out)):
+        raise InvalidParameters("boundary quantities are not finite on the edge stencil"
+                                + (", which holds U <= 0" if np.any(U <= 0) else ""))
+    return out
 
 
 def endpoint_power_fit(u_eval, L: float, lo_frac: float = 0.95,

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import stat
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -199,6 +201,34 @@ class TestEndpointFitUnavailable:
                      "--threshold", "1e-20", "-o", str(out)])
         assert code == EXIT_VERIFY_FAILED
         assert json.loads(out.read_text())["endpoint_power_fit"] is None
+
+
+class TestBoundaryUnavailable:
+    """At m < 1 a stencil whose U underflows to 0 gives no finite A4: the
+    boundary quantities are reported as unavailable, never as NaN."""
+
+    ARGV = ["--numeric", "--m=0.7635304351036482", "--n=0.7709399152615757",
+            "--a=-1.3008770185109313", "--b=1.996764207658639",
+            "--g=-2.0183222013669484"]
+
+    def test_unavailable_and_null(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", *self.ARGV, "-o", str(out)])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"numeric m=0\.76353 n=0\.77094 \[K\] max scaled residual "
+                            r"\S+ \(threshold 1e-07\) -> pass", lines[0])
+        assert lines[1].startswith("boundary A1..A4: unavailable (")
+        assert "nan" not in lines[1]
+
+        def no_constant(name):
+            raise AssertionError(f"bare {name} in the report")
+
+        data = json.loads(out.read_text(), parse_constant=no_constant)
+        assert data["boundary_quantities"] is None
+        assert data["passed"] is True
 
 
 class TestFloatRange:

@@ -24,6 +24,10 @@ def _agm_oracle(a, b):
     return a
 
 
+# the RATCN modulus of the catalog, sqrt(2)(sqrt(3) + 1)/4
+_K_HIGH = 2 ** 0.5 * (3 ** 0.5 + 1.0) / 4.0
+
+
 class TestCompleteK:
     def test_k_zero(self):
         assert complete_K(0.0) == pytest.approx(np.pi / 2, abs=1e-15)
@@ -114,6 +118,20 @@ class TestRealModulusIdentities:
             assert sn_v[i] == pytest.approx(sn, abs=1e-15)
             assert cn_v[i] == pytest.approx(cn, abs=1e-15)
             assert dn_v[i] == pytest.approx(dn, abs=1e-15)
+
+    @pytest.mark.parametrize("z, k", [
+        (complete_K(Modulus.imaginary(1.0)), Modulus.imaginary(1.0)),
+        (complete_K(2 ** -0.5), 2 ** -0.5),
+        (2 * complete_K(2 ** -0.5), 2 ** -0.5),
+        (inverse_cn(2 - 3 ** 0.5, _K_HIGH), _K_HIGH),
+        # a point where a scalar once took numpy's scalar path and dn
+        # differed from the array value in the last two places
+        (8.757094257331929, _K_HIGH),
+    ], ids=["K(i)", "K(1/2)", "2K(1/2)", "cn^-1(2-sqrt3)", "dn-ulp"])
+    def test_scalar_is_one_element_array(self, z, k):
+        scalar = jacobi(z, k)
+        array = jacobi(np.array([z]), k)
+        assert [float(f) for f in scalar] == [float(f[0]) for f in array]
 
 
 class TestPropertyBased:

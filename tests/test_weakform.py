@@ -123,8 +123,31 @@ class TestSharedKernel:
         got = evaluate_testfn(tf, x, order)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # every order of one shared table equals its own evaluation
-        shared = weakform._testfn_derivs(tf, x, (order, 4))
+        shared = weakform._testfn_derivs([tf], np.zeros(x.shape, dtype=int), x, (order, 4))
         assert np.array_equal(shared[0], got)
+
+    def test_leibniz_uses_scalar_width_powers(self):
+        # a table over bumps of mixed degree against the one-bump Leibniz
+        # sum with tf.width ** (j - order) as a Python float; numpy's array
+        # power rounds some of these widths differently in the last place
+        widths = np.random.default_rng(7).uniform(0.05, 5.0, 40)
+        assert np.any(widths ** -3 != [w ** -3 for w in widths.tolist()])
+        tfs = [TestFunction(center=0.1 * i, width=w, modulation_degree=i % 4)
+               for i, w in enumerate(widths.tolist())]
+        x = np.concatenate([tf.center + tf.width * _YS for tf in tfs])
+        which = np.repeat(np.arange(len(tfs)), len(_YS))
+        table = weakform._testfn_derivs(tfs, which, x, range(5))
+        for i, tf in enumerate(tfs):
+            xc = x[which == i] - tf.center
+            mask, B = weakform._bump_derivs(xc / tf.width, range(5))
+            d = tf.modulation_degree
+            XC = weakform._powers(xc[mask], d)
+            for order in range(5):
+                acc = np.zeros(np.count_nonzero(mask))
+                for j in range(min(order, d) + 1):
+                    acc += (math.perm(d, j) * math.comb(order, j) * XC[d - j]
+                            * B[order - j] * tf.width ** (j - order))
+                assert np.array_equal(table[order][which == i][mask], acc)
 
     @pytest.mark.parametrize("order", range(5))
     def test_kernel_against_mpmath(self, order):
@@ -278,6 +301,80 @@ class TestSharedNodes:
             assert weakform._residual(ev, pr, g, tf, prof.L, lo, hi) == (raw, norm, err)
 
 
+def _profile_of(case):
+    """(u_eval, params, L) of a catalog (family, kwargs) pair, or of the
+    inverse-beta profile at g = 1 for an EquationParams."""
+    if isinstance(case, EquationParams):
+        u_eval, L = inverse_beta_profile(case, 1.0)
+        return u_eval, case, L
+    prof = construct(case[0], **case[1])
+    return profile_eval(prof), prof.params, prof.L
+
+
+_FIG5_LEFT = EquationParams(m=2.25, n=2.0, a=1.0, b=1.0)
+
+_BATCH_CASES = pytest.mark.parametrize("case", [
+    (FamilyId.ZSQ2, dict(n=1.875, b=-1)),
+    (FamilyId.COS1, dict(n=1.00533)),
+    (FamilyId.RATCN5, dict(n=0.345, b=-1)),
+    _FIG5_LEFT,
+], ids=["zsq2-1.875", "cos1-1.00533", "ratcn5-0.345", "fig5-left"])
+_EQUATIONS = pytest.mark.parametrize("lo, hi", [(1, 3), (2, 4)], ids=["K", "KP"])
+
+
+class TestBatchedLevels:
+    """Every (bump, piece) pair of a report integrated level by level in
+    one loop gives the bits of one loop per piece and per integrand."""
+
+    @_BATCH_CASES
+    @_EQUATIONS
+    def test_battery_same_as_separate_loops(self, case, lo, hi):
+        ev, pr, L = _profile_of(case)
+        g = 1.0
+        tfs = bump_battery(L)
+        raws, norms, errs = weakform._residuals(ev, pr, g, tfs, L, lo, hi)
+        for i, tf in enumerate(tfs):
+            def raw_f(x):
+                u = ev(x)
+                return ((-g * u + pr.a * u ** pr.m) * evaluate_testfn(tf, x, lo)
+                        + pr.b * u ** pr.n * evaluate_testfn(tf, x, hi))
+
+            def norm_f(x):
+                return np.abs(pr.b * ev(x) ** pr.n * evaluate_testfn(tf, x, hi))
+
+            pieces = weakform._support_pieces(L, tf, hi)
+            raw, err = _integrate_separately(raw_f, pieces)
+            norm, _ = _integrate_separately(norm_f, pieces)
+            assert (raws[i], norms[i], errs[i]) == (raw, norm, err), i
+
+    @_BATCH_CASES
+    @_EQUATIONS
+    @pytest.mark.parametrize("chunk", [128, 2 ** 20])
+    def test_chunk_size_does_not_move_a_bit(self, monkeypatch, case, lo, hi, chunk):
+        ev, pr, L = _profile_of(case)
+        want = weakform._residuals(ev, pr, 1.0, bump_battery(L), L, lo, hi)
+        monkeypatch.setattr(weakform, "_CHUNK", chunk)
+        got = weakform._residuals(ev, pr, 1.0, bump_battery(L), L, lo, hi)
+        for w, x in zip(want, got):
+            assert np.array_equal(w, x)
+
+    @_EQUATIONS
+    def test_user_battery_any_degree(self, lo, hi):
+        prof = construct(FamilyId.CN2, n=2.0)
+        ev, L = profile_eval(prof), prof.L
+        tfs = [TestFunction(center=c * L, width=w * L, modulation_degree=d)
+               for c, w, d in [(-0.4, 0.7, 0), (0.1, 0.5, 1), (0.6, 0.9, 2),
+                               (-0.9, 0.4, 3), (0.3, 1.5, 3), (5.0, 1.0, 2)]]
+        batched = weakform._residuals(ev, prof.params, prof.g, tfs, L, lo, hi)
+        for i, tf in enumerate(tfs):
+            one = weakform._residual(ev, prof.params, prof.g, tf, L, lo, hi)
+            assert tuple(a[i] for a in batched) == one
+        assert [a[-1] for a in batched] == [0.0, 0.0, 0.0]
+        rep = verify_weak(ev, prof.params, prof.g, L, "K" if lo == 1 else "KP", tfs)
+        assert rep.residuals[-1] == 0.0
+        assert rep.max_abs_scaled < 1e-8
+
+
 class TestPhiZeroBreaks:
     """The pieces split at every sign change of phi^(order), where the norm
     integrand |b*u**n*phi^(order)| has a kink."""
@@ -321,23 +418,19 @@ class TestPhiZeroBreaks:
 
 
 class TestWorkCount:
-    """Points given to the profile per report, pinned at the measured count
-    plus 10%.  A change that means to move them updates these numbers and
-    says so; one that does not must not exceed them."""
+    """Points given to the profile per report, and the calls that give
+    them, pinned at the measured counts plus 10%.  A change that means to
+    move them updates these numbers and says so; one that does not must
+    not exceed them."""
 
-    @pytest.mark.parametrize("case,equation,pinned", [
-        ((FamilyId.COS1, dict(n=2.0)), "K", 41472),
-        ((FamilyId.RATCN5, dict(n=0.5, b=-1)), "KP", 52608),
-        ((FamilyId.ZSQ2, dict(n=1.875, b=-1)), "KP", 354688),
-        (EquationParams(m=2.25, n=2.0, a=1.0, b=1.0), "K", 41856),
+    @pytest.mark.parametrize("case,equation,pinned,calls", [
+        ((FamilyId.COS1, dict(n=2.0)), "K", 41472, 11),
+        ((FamilyId.RATCN5, dict(n=0.5, b=-1)), "KP", 52608, 14),
+        ((FamilyId.ZSQ2, dict(n=1.875, b=-1)), "KP", 354688, 70),
+        (_FIG5_LEFT, "K", 41856, 11),
     ], ids=["cos1-2-K", "ratcn5-0.5-KP", "zsq2-1.875-KP", "fig5-left-K"])
-    def test_points_per_report(self, case, equation, pinned):
-        if isinstance(case, EquationParams):
-            params = case
-            u_eval, L = inverse_beta_profile(params, 1.0)
-        else:
-            prof = construct(case[0], **case[1])
-            params, u_eval, L = prof.params, profile_eval(prof), prof.L
+    def test_points_per_report(self, case, equation, pinned, calls):
+        u_eval, params, L = _profile_of(case)
         seen = []
 
         def counted(x):   # as perfbench/spans.py wraps it
@@ -346,6 +439,7 @@ class TestWorkCount:
 
         verify_weak(counted, params, 1.0, L, equation)
         assert sum(seen) <= 1.1 * pinned
+        assert len(seen) <= 1.1 * calls
 
 
 class TestBoundaryQuantities:
