@@ -15,7 +15,7 @@ that shape exists.
 
 The half-width L is the inner expression's first zero in closed form:
 each family's inner function first vanishes at a known s* (pi/2, K, 2K,
-cn^-1(2 - sqrt(3)), or 1 for the quadratic families) of its scaled
+2K/3 = cn^-1(2 - sqrt(3)), or 1 for the quadratic families) of its scaled
 argument s = beta*xi (sqrt(|beta|)*xi for the quadratics), so L is s*
 divided by that scale.  ``first_zero`` returns this L; the name stays
 because the benchmark's span tracer (``perfbench/spans.py``) patches it.
@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import Modulus, complete_K, inverse_cn, jacobi
+from .elliptic import Modulus, complete_K, jacobi
 from .params import EquationParams, InvalidParameters, ProcedureRejection
 from .shooting import center_amplitude, coefficients
 
@@ -298,7 +298,7 @@ def _resolve(family: FamilyId, params: EquationParams, g: float,
         else:
             mod, ratc = MOD_HIGH, (SQRT3 - 2.0, 1.0)
             inner = lambda xi: _rat_high(beta * xi)
-            zero = inverse_cn(2.0 - SQRT3, MOD_HIGH)
+            zero = 2.0 / 3.0 * complete_K(MOD_HIGH)  # cn(2K/3, k_high) = 2 - sqrt(3)
 
     # the catalog's COS2 formula carries |g|/|b| where the argument scale
     # implies |b|/|g|; retained verbatim for the audit cross-check

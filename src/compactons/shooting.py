@@ -36,9 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# tanhsinh is no longer called here; perfbench/spans.py patches
-# shooting.tanhsinh by name, so the name stays until the benchmark drops it
-from scipy.integrate import solve_ivp, tanhsinh  # noqa: F401
 
 from .params import EquationParams, InvalidParameters, ProcedureRejection
 
@@ -53,6 +50,16 @@ __all__ = [
     "inverse_beta_profile",
     "shoot",
 ]
+
+
+def __getattr__(name):
+    # lazy, so that only ``shoot`` pays for importing scipy.integrate; the names
+    # stay module attributes because perfbench/spans.py patches them by name
+    if name in ("solve_ivp", "tanhsinh"):
+        import scipy.integrate
+        globals()[name] = value = getattr(scipy.integrate, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -269,6 +276,7 @@ def shoot(params: EquationParams, g: float,
     cutoff choice to well below the verification tolerances.
     """
     tol = tolerances or ShootTolerances()
+    solve_ivp = globals().get("solve_ivp") or __getattr__("solve_ivp")
     m, n = params.m, params.n
     coeffs, V0 = _crest(params, g)
     L_quad = half_width_quadrature(coeffs, params, V0)

@@ -197,6 +197,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _DOUBLINGS = 6  # refinements after the first 4-panel estimate
 _RTOL = 1e-13
 _CHUNK = 4096    # most points given to u per call, unless one piece has more
+# A report's per-chunk temporaries (1-2 MB) are above glibc's initial 128 KB
+# mmap threshold, so each would be mapped, faulted in page by page and
+# unmapped again.  Freeing one 16 MB mapped block raises glibc's mmap and
+# trim thresholds to 16 and 32 MB, after which those temporaries reuse heap
+# pages.  The block is never written, so it costs no resident memory.
+np.empty(1 << 21)
 
 
 @functools.cache

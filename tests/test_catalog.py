@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from scipy.special import betaincinv, betaln
 
 from compactons import catalog
 from compactons.catalog import (
+    MOD_HIGH,
+    SQRT3,
     FamilyId,
     admissible_interval,
     construct,
@@ -21,6 +24,7 @@ from compactons.catalog import (
     sample,
     sign_condition,
 )
+from compactons.elliptic import inverse_cn
 from compactons.params import InvalidParameters, ProcedureRejection
 from compactons.shooting import (
     center_amplitude,
@@ -339,6 +343,23 @@ class TestInverseBetaOracle:
         xs = np.linspace(-1.01 * L, 1.01 * L, 4001)
         U0 = U(np.zeros(1))[0]
         assert np.max(np.abs(u_eval(xs) - U(xs))) <= 2e-14 * U0
+
+    @pytest.mark.parametrize(
+        "point", [p for p in FIRST_INTEGRAL_POINTS
+                  if p[0] in (FamilyId.RATCN3, FamilyId.RATCN6)], ids=_point_id)
+    def test_ratcn_high_zero_is_two_thirds_K(self, point):
+        # s* = 2K/3 in closed form gives the same L, bit for bit, as
+        # inverting cn numerically at 2 - sqrt(3)
+        family, kw = point
+        prof = construct(family, **kw)
+        assert prof.L == inverse_cn(2.0 - SQRT3, MOD_HIGH) / prof.beta
+
+    def test_cn_at_two_thirds_K_high(self):
+        with mpmath.workdps(40):
+            k = mpmath.sqrt(2) * (mpmath.sqrt(3) + 1) / 4
+            assert MOD_HIGH.value == pytest.approx(float(k), rel=1e-15)
+            cn = mpmath.ellipfun("cn", 2 * mpmath.ellipk(k ** 2) / 3, m=k ** 2)
+            assert abs(cn - (2 - mpmath.sqrt(3))) < mpmath.mpf(10) ** -35
 
 
 class TestScaling:

@@ -5,7 +5,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+from compactons import shooting
 from compactons.catalog import FamilyId, construct, evaluate
 from compactons.params import EquationParams, ProcedureRejection
 from compactons.shooting import (
@@ -213,6 +215,30 @@ class TestShoot:
         tol = ShootTolerances(rtol=1e-8, grid_points=201)
         nc = shoot(FIG5_LEFT, 1.0, tolerances=tol)
         assert len(nc.grid) == 2 * 201 - 1
+
+
+class TestLazyIntegrate:
+    """``shooting`` loads scipy.integrate on first use, and its names stay
+    module attributes that the benchmark's span tracer replaces by name."""
+
+    def test_names_resolve_to_scipy(self):
+        assert shooting.solve_ivp is scipy.integrate.solve_ivp
+        assert shooting.tanhsinh is scipy.integrate.tanhsinh
+
+    def test_shoot_calls_the_patched_name(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scipy.integrate.solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "solve_ivp", counting)
+        shoot(FIG5_LEFT, 1.0)
+        assert len(calls) == 2   # the crest-to-cutoff run and the tail
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError):
+            shooting.nonexistent
 
 
 class TestSerialization:
