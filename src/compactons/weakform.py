@@ -16,26 +16,15 @@ Residuals are reported scaled by the L1 size of the dispersive term
 b*U**n*phi''' (or phi''''), which makes a single tolerance meaningful
 across parameter regimes.
 
-Each residual and its scaling norm are integrated in one pass on shared
-nodes: every refinement level evaluates U once per node and both
-phi-derivatives from one bump table (mask, exp(-v) and the powers of y
-and v computed once, by multiplication), and forms both integrands from
-those arrays.  The two integrals keep separate stopping tests, so each
-stops exactly where it would if integrated alone.
-
-The integrals run piece by piece: each bump's support inside [-L, L] is
-split at 0, at the bump's center, and at the zeros of phi^(hi).  In
-y = (xi - center)/width those zeros are fixed numbers per derivative
-order and modulation degree, found once from the same prefactor table,
-so the norm integrand |b*U**n*phi^(hi)| has no kink inside a piece.
-
-A report integrates its whole battery at once, one refinement level at
-a time: each level gathers every (bump, piece) pair with a live
-integral, evaluates U on their nodes in a few calls of at most _CHUNK
-points, and takes the phi-derivatives of all of them from one bump table
-with per-point center, width and modulation degree.  Every piece keeps
-the nodes, the stopping tests and the summation order it would have if
-integrated alone, so the batching changes no bit of any residual.
+Every report integrates its whole battery on one node set.  [-L, L] is
+split once, at every bump end inside it; on each interval every covering
+bump's integrand is analytic inside, with flat or algebraic ends, which
+is the case tanh-sinh quadrature is built for.  Each refinement level
+evaluates U once on the new nodes of every live interval and takes
+phi^(low) and phi^(high) of every (bump, node) pair from one bump table
+(mask, exp(-v) and the powers of y and v computed once, by
+multiplication).  The raw residual and its scaling norm are summed on
+the same nodes.
 """
 
 from __future__ import annotations
@@ -193,53 +182,46 @@ def evaluate_testfn(tf: TestFunction, xi, order: int = 0):
 # ---------------------------------------------------------------------------
 # quadrature
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_DOUBLINGS = 6  # refinements after the first 4-panel estimate
-_RTOL = 1e-13
-_CHUNK = 4096    # most points given to u per call, unless one piece has more
-# A report's per-chunk temporaries (1-2 MB) are above glibc's initial 128 KB
-# mmap threshold, so each would be mapped, faulted in page by page and
-# unmapped again.  Freeing one 16 MB mapped block raises glibc's mmap and
-# trim thresholds to 16 and 32 MB, after which those temporaries reuse heap
-# pages.  The block is never written, so it costs no resident memory.
+_T_MAX = 3.5      # tanh-sinh abscissae t = j * 2**-(level+1), |t| <= _T_MAX
+_LEVELS = 8       # the last level
+_TOL = 1e-14      # relative to each covering bump's norm
+_TABLE = 4096     # most (bump, node) pairs in one phi table
+# Some of a report's temporaries are above glibc's initial 128 KB mmap
+# threshold, so each would be mapped, faulted in page by page and unmapped
+# again.  Freeing one 16 MB mapped block raises glibc's mmap
+# and trim thresholds to 16 and 32 MB, after which those temporaries reuse
+# heap pages.  The block is never written, so it costs no resident memory.
 np.empty(1 << 21)
 
 
 @functools.cache
-def _phi_zeros(order: int, degree: int) -> tuple[float, ...]:
-    """Zeros in (-1, 1) of d^order/dy^order (y**degree * B(y)).
-
-    By the Leibniz rule the derivative is B(y) times
-    sum_j C(order, j) degree!/(degree - j)! y**(degree - j) R_(order - j)(y);
-    multiplied by (1 - y**2)**k for the largest power k of v in it, that
-    sum is a polynomial in y, whose real roots inside (-1, 1) these are.
-    """
-    P = np.polynomial.Polynomial
-    js = range(min(order, degree) + 1)
-    top = max(k for j in js for _, k in _R[order - j])
-    poly = P([0.0])
-    for j in js:
-        falling = math.perm(degree, j) * math.comb(order, j)
-        for (i, k), cf in _R[order - j].items():
-            poly += (falling * cf * P.basis(degree - j + i)
-                     * P([1.0, 0.0, -1.0]) ** (top - k))
-    return tuple(sorted(float(r.real) for r in poly.roots()
-                        if abs(r.imag) < 1e-9 and abs(r.real) < 1.0))
+def _tanh_sinh(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes that ``level`` adds on [-1, 1]: the sign of t, the
+    distance 1 - tanh|s| to the nearer end, and the weight
+    (pi/2) cosh(t) / cosh(s)**2, with s = (pi/2) sinh(t)."""
+    top = round(_T_MAX * 2 ** (level + 1))
+    j = np.arange(-top, top + 1) if level == 0 else np.arange(1 - top, top, 2)
+    t = j * 2.0 ** -(level + 1)
+    s = 0.5 * math.pi * np.sinh(np.abs(t))
+    edge = 2.0 / (np.exp(2.0 * s) + 1.0)
+    return np.sign(t), edge, 0.5 * math.pi * np.cosh(t) * edge * (2.0 - edge)
 
 
-def _support_pieces(L: float, tf: TestFunction,
-                    order: int) -> list[tuple[float, float]]:
-    """Pieces of the bump's support inside [-L, L] on which the integrands
-    are smooth: split at 0, at the bump's center and at the zeros of
-    phi^(order), where the norm integrand |b*u**n*phi^(order)| has a kink."""
-    lo = max(-L, tf.center - tf.width)
-    hi = min(L, tf.center + tf.width)
-    if hi <= lo:
-        return []
-    zeros = [tf.center + tf.width * y
-             for y in _phi_zeros(order, tf.modulation_degree)]
-    breaks = sorted({lo, hi} | {x for x in (0.0, tf.center, *zeros) if lo < x < hi})
-    return list(zip(breaks[:-1], breaks[1:]))
+def _partition(tfs: list[TestFunction], L: float):
+    """[-L, L] split once, at every bump end inside it, with ends closer
+    than 1e-12 times the narrowest width merged: the ends x0, x1 of the
+    intervals that some bump covers, and the (bump, interval) pairs
+    pb, pj of the bumps that cover each."""
+    c = np.array([tf.center for tf in tfs])
+    w = np.array([tf.width for tf in tfs])
+    tol = 1e-12 * w.min()
+    ends = np.concatenate([c - w, c + w])
+    br = np.unique(np.concatenate([[-L, L], ends[np.abs(ends) < L - tol]]))
+    br = br[np.concatenate([[True], np.diff(br) > tol])]
+    cover = np.abs(0.5 * (br[1:] + br[:-1]) - c[:, None]) < w[:, None]
+    seen = cover.any(axis=0)
+    pb, pj = np.nonzero(cover[:, seen])
+    return br[:-1][seen], br[1:][seen], pb, pj
 
 
 def _residuals(u_eval, params: EquationParams, g: float, tfs: list[TestFunction],
@@ -249,63 +231,54 @@ def _residuals(u_eval, params: EquationParams, g: float, tfs: list[TestFunction]
     function of ``tfs``.
 
     The raw integrand is (-g*u + a*u**m)*phi^(low) + b*u**n*phi^(high)
-    and the norm integrand |b*u**n*phi^(high)|.  Both are integrated in
-    one pass of adaptive panel-doubling Gauss-Legendre over each smooth
-    piece of each bump's support: 4 panels, doubled up to 6 times.  The
-    loop is level-synchronous over every (bump, piece) pair: a level
-    gathers the pieces that still have a live integral, gives u their
-    nodes in chunks of at most _CHUNK points (a larger piece goes alone),
-    and forms both integrands from one u array and one bump table.  Each
-    integral of each piece keeps its own stopping test (two successive
-    levels within _RTOL*max(1, |value|)) and its own cap, and its value
-    and change are kept only while it is live, so batching never changes
-    where either stops.  A bump's raw integral, norm and error estimate
-    (the last change of the raw integral) are summed over its pieces in
-    order.
+    and the norm integrand |b*u**n*phi^(high)|.  Every bump that covers
+    an interval of `_partition` shares its tanh-sinh nodes.  A level
+    evaluates u once on the new nodes of every live interval, and
+    phi^(low) and phi^(high) of every (bump, node) pair in tables of at
+    most _TABLE pairs.  An interval stops when the raw integral of every
+    covering bump changes by at most _TOL times that bump's norm, or at
+    level _LEVELS.  The norm is only a scale: its integrand has kinks at
+    the zeros of phi^(high), and it stops with the raw integral.  A bump's
+    error estimate is the sum of the last changes of its raw integral.
     """
     m, n, a, b = params.m, params.n, params.a, params.b
-    pieces = [(i, lo, hi) for i, tf in enumerate(tfs)
-              for lo, hi in _support_pieces(L, tf, phi_high)]
-    owner = np.array([i for i, _, _ in pieces], dtype=int)
-    lo_arr = np.array([lo for _, lo, _ in pieces])
-    hi_arr = np.array([hi for _, _, hi in pieces])
-    value = np.zeros((len(pieces), 2))      # raw, norm per piece
-    delta = np.zeros((len(pieces), 2))
-    live = np.ones((len(pieces), 2), dtype=bool)
-    for level in range(_DOUBLINGS + 1):
-        active = np.flatnonzero(live.any(axis=1))
-        if not active.size:
+    x0, x1, pb, pj = _partition(tfs, L)
+    half = 0.5 * (x1 - x0)
+    total = np.zeros((len(pb), 2))          # weighted node sums: raw, norm
+    value = np.zeros((len(pb), 2))
+    change = np.zeros(len(pb))              # of the raw integral
+    norm = np.zeros(len(tfs))
+    live = np.ones(len(x0), dtype=bool)
+    for level in range(_LEVELS + 1):
+        if not live.any():
             break
-        panels = 4 * 2 ** level
-        per_piece = panels * len(_GL_NODES)
-        step = max(1, _CHUNK // per_piece)
-        for start in range(0, active.size, step):
-            idx = active[start:start + step]
-            edges = np.linspace(lo_arr[idx], hi_arr[idx], panels + 1, axis=1)
-            mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-            halfw = 0.5 * (edges[:, 1:] - edges[:, :-1])
-            x = (mid[:, :, None] + halfw[:, :, None] * _GL_NODES).ravel()
-            u = np.asarray(u_eval(x), dtype=float)
-            phi_lo, phi_hi = _testfn_derivs(tfs, np.repeat(owner[idx], per_piece),
-                                            x, (phi_low, phi_high))
-            disp = b * u ** n * phi_hi
-            for k, f in enumerate(((-g * u + a * u ** m) * phi_lo + disp,
-                                   np.abs(disp))):
-                # a 2-D (panels, 32) @ weights product: a 3-D one can round
-                # differently from the product of one piece alone
-                panel = (f.reshape(-1, len(_GL_NODES)) @ _GL_WEIGHTS).reshape(halfw.shape)
-                cur = np.sum(halfw * panel, axis=1)
-                was = live[idx, k]
-                if level:
-                    change = np.abs(cur - value[idx, k])
-                    delta[idx[was], k] = change[was]
-                    live[idx, k] = was & (level < _DOUBLINGS) & (
-                        change > _RTOL * np.maximum(1.0, np.abs(cur)))
-                value[idx[was], k] = cur[was]
-    raw, norm, err = (np.zeros(len(tfs)) for _ in range(3))
-    np.add.at(raw, owner, value[:, 0])
-    np.add.at(norm, owner, value[:, 1])
-    np.add.at(err, owner, delta[:, 0])
+        sign, edge, wt = _tanh_sinh(level)
+        ints = np.flatnonzero(live)
+        x = np.where(sign < 0, x0[ints, None] + half[ints, None] * edge,
+                     x1[ints, None] - half[ints, None] * edge)
+        u = np.asarray(u_eval(x.ravel()), dtype=float).reshape(x.shape)
+        adv, disp = -g * u + a * u ** m, b * u ** n
+        weight = half[ints, None] * wt
+        row = np.cumsum(live) - 1           # interval -> row of x
+        pairs = np.flatnonzero(live[pj])
+        step = max(1, _TABLE // len(wt))
+        for start in range(0, len(pairs), step):
+            idx = pairs[start:start + step]
+            r = row[pj[idx]]
+            lo_d, hi_d = (d.reshape(r.size, -1) for d in _testfn_derivs(
+                tfs, np.repeat(pb[idx], len(wt)), x[r].ravel(), (phi_low, phi_high)))
+            hi_d *= disp[r]
+            total[idx, 0] += np.sum((adv[r] * lo_d + hi_d) * weight[r], axis=1)
+            total[idx, 1] += np.sum(np.abs(hi_d) * weight[r], axis=1)
+        now = total[pairs] * 2.0 ** -(level + 1)
+        change[pairs] = np.abs(now[:, 0] - value[pairs, 0])
+        value[pairs] = now
+        norm = np.bincount(pb, weights=value[:, 1], minlength=len(tfs))
+        if level:
+            busy = change[pairs] > _TOL * norm[pb[pairs]]
+            live = np.bincount(pj[pairs], weights=busy, minlength=len(x0)) > 0
+    raw, err = (np.bincount(pb, weights=col, minlength=len(tfs))
+                for col in (value[:, 0], change))
     return raw, norm, err
 
 
@@ -391,9 +364,10 @@ def boundary_quantities(u_eval, params: EquationParams, g: float, L: float,
 
     Derivatives come from central differences on a stencil packed into
     [L - delta, L); values are reported at the stencil center, which
-    approaches the edge as delta shrinks.  A stencil holding a U <= 0
-    where a quantity is not finite (U**(m - 1) at U = 0 for m < 1, or a
-    fractional power of a negative U) raises InvalidParameters.
+    approaches the edge as delta shrinks.  A stencil on which U underflows
+    to 0 everywhere, or one holding a U <= 0 where a quantity is not finite
+    (U**(m - 1) at U = 0 for m < 1, or a fractional power of a negative U),
+    raises InvalidParameters.
     """
     m, n, a, b = params.m, params.n, params.a, params.b
     if delta is None:
@@ -402,6 +376,8 @@ def boundary_quantities(u_eval, params: EquationParams, g: float, L: float,
     center = L - delta / 2.0
     x = center + np.arange(-3, 4) * h
     U = np.asarray(u_eval(x), dtype=float)
+    if not np.any(U):
+        raise InvalidParameters("U is 0 on the whole edge stencil, so nothing is measured")
     with np.errstate(all="ignore"):
         W = U ** n
         # 4th-order central stencils

@@ -204,8 +204,9 @@ class TestEndpointFitUnavailable:
 
 
 class TestBoundaryUnavailable:
-    """At m < 1 a stencil whose U underflows to 0 gives no finite A4: the
-    boundary quantities are reported as unavailable, never as NaN."""
+    """At m < 1 a stencil whose U underflows to 0 gives no finite A4, and
+    at any m one on which U is 0 everywhere measures nothing: the boundary
+    quantities are reported as unavailable, never as NaN or zeros."""
 
     ARGV = ["--numeric", "--m=0.7635304351036482", "--n=0.7709399152615757",
             "--a=-1.3008770185109313", "--b=1.996764207658639",
@@ -227,6 +228,21 @@ class TestBoundaryUnavailable:
             raise AssertionError(f"bare {name} in the report")
 
         data = json.loads(out.read_text(), parse_constant=no_constant)
+        assert data["boundary_quantities"] is None
+        assert data["passed"] is True
+
+
+    def test_underflowed_stencil_is_unavailable(self, tmp_path, capsys):
+        # cos1 p ~ 375: U is 0 on the whole stencil; the exit code comes
+        # from the verdicts alone
+        out = tmp_path / "report.json"
+        code = main(["verify", "--family", "cos1", "--n", "1.00533", "-o", str(out)])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("-> pass")
+        assert lines[1] == ("boundary A1..A4: unavailable (U is 0 on the whole edge "
+                            "stencil, so nothing is measured)")
+        data = json.loads(out.read_text())
         assert data["boundary_quantities"] is None
         assert data["passed"] is True
 

@@ -66,18 +66,12 @@ def equations(family, point):
 # (p = 4-5): its scaled residual is 0.07-0.08 eps, so eps = 1e-6 stays
 # under the threshold and the mutant is first detected near eps = 1.5e-6
 _UNDETECTED = {("cn1", "KP", "tail"), ("sn1", "KP", "tail"), ("ratcn3", "KP", "tail")}
-# the unperturbed COS2 profile at m = 0.25, both equations: the
-# Gauss-Legendre pieces' error at the support edge, 2.2e-11 and 2.6e-11
-_INEXACT = {("cos2", "K", "exact"), ("cos2", "KP", "exact")}
 
 
 def _case(family, eq, name):
     key = (family.value, eq, name.split()[0])
-    marks = []
-    if key in _UNDETECTED:
-        marks = [pytest.mark.xfail(strict=True, reason="tail mutant under the threshold")]
-    elif key in _INEXACT:
-        marks = [pytest.mark.xfail(strict=True, reason="quadrature error above 1e-12")]
+    marks = ([pytest.mark.xfail(strict=True, reason="tail mutant under the threshold")]
+             if key in _UNDETECTED else [])
     return pytest.param(family, eq, name, marks=marks, id=f"{family.value}-{eq}-{key[2]}")
 
 

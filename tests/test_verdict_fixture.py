@@ -3,14 +3,15 @@
 ``tests/data/weak_residuals_parent.json`` holds, for each point below,
 the K and KP reports of ``verify_weak`` (every scaled residual and the
 quadrature error estimate), as the verifier computed them when the file
-was last regenerated: with every piece split at the zeros of phi^(hi),
-and the fig. 5 profiles in inverse-beta closed form, built by the same
-function ``compactons verify --numeric`` uses.  A change that only
-reorganises the arithmetic must keep every verdict and every entry to
-1e-12.
+was last regenerated: with tanh-sinh nodes on the battery's joint
+partition of [-L, L] (split once, at every bump end inside it) shared by
+every covering bump, and the fig. 5 profiles in inverse-beta closed
+form, built by the same function ``compactons verify --numeric`` uses.
+A change that only reorganises the arithmetic must keep every verdict
+and every entry to 1e-12.
 
-A change that means to move these numbers (a new stopping rule, graded
-panels) regenerates the file on purpose, from the new code:
+A change that means to move these numbers (a new stopping rule, other
+nodes) regenerates the file on purpose, from the new code:
 
     PYTHONPATH=src python3 tests/test_verdict_fixture.py
 

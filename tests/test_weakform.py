@@ -152,11 +152,11 @@ class TestSharedKernel:
     @pytest.mark.parametrize("order", range(5))
     def test_kernel_against_mpmath(self, order):
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
         ys = np.array([-0.93, -0.5, 0.0, 0.21, 0.77, 0.96])
         _, got = weakform._bump_derivs(ys, (order,))
-        want = [float(mp.diff(lambda t: mp.exp(-1 / (1 - t * t)), mp.mpf(y), order))
-                for y in ys]
+        with mp.workdps(30):
+            want = [float(mp.diff(lambda t: mp.exp(-1 / (1 - t * t)), mp.mpf(y), order))
+                    for y in ys]
         assert np.max(np.abs(got[order] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -249,58 +249,6 @@ class TestResiduals:
         assert len(data["residuals"]) == 25
 
 
-def _integrate_separately(f, pieces, rtol=1e-13):
-    """The verifier's integrator before the residual and its norm shared
-    nodes: one panel-doubling Gauss-Legendre loop per integrand."""
-    def gl(edges):
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        halfw = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mid[:, None] + halfw[:, None] * weakform._GL_NODES[None, :]).ravel()
-        vals = np.asarray(f(pts)).reshape(len(mid), -1)
-        return float(np.sum(halfw * (vals @ weakform._GL_WEIGHTS)))
-
-    total, err = 0.0, 0.0
-    for a, b in pieces:
-        n_sub = 4
-        prev = gl(np.linspace(a, b, n_sub + 1))
-        for _ in range(6):
-            n_sub *= 2
-            cur = gl(np.linspace(a, b, n_sub + 1))
-            delta = abs(cur - prev)
-            prev = cur
-            if delta <= rtol * max(1.0, abs(cur)):
-                break
-        total += prev
-        err += delta
-    return total, err
-
-
-class TestSharedNodes:
-    """Sharing one node set must not move where either integral stops."""
-
-    @pytest.mark.parametrize("family, kw", [
-        (FamilyId.ZSQ2, dict(n=1.875, b=-1)),
-        (FamilyId.COS1, dict(n=1.00533)),
-    ], ids=["zsq2-1.875", "cos1-1.00533"])
-    @pytest.mark.parametrize("lo, hi", [(1, 3), (2, 4)], ids=["K", "KP"])
-    def test_same_as_separate_loops(self, family, kw, lo, hi):
-        prof = construct(family, **kw)
-        ev, pr, g = profile_eval(prof), prof.params, prof.g
-        for tf in bump_battery(prof.L)[5:20:3]:
-            def raw_f(x):
-                u = ev(x)
-                return ((-g * u + pr.a * u ** pr.m) * evaluate_testfn(tf, x, lo)
-                        + pr.b * u ** pr.n * evaluate_testfn(tf, x, hi))
-
-            def norm_f(x):
-                return np.abs(pr.b * ev(x) ** pr.n * evaluate_testfn(tf, x, hi))
-
-            pieces = weakform._support_pieces(prof.L, tf, hi)
-            raw, err = _integrate_separately(raw_f, pieces)
-            norm, _ = _integrate_separately(norm_f, pieces)
-            assert weakform._residual(ev, pr, g, tf, prof.L, lo, hi) == (raw, norm, err)
-
-
 def _profile_of(case):
     """(u_eval, params, L) of a catalog (family, kwargs) pair, or of the
     inverse-beta profile at g = 1 for an EquationParams."""
@@ -312,48 +260,103 @@ def _profile_of(case):
 
 
 _FIG5_LEFT = EquationParams(m=2.25, n=2.0, a=1.0, b=1.0)
-
-_BATCH_CASES = pytest.mark.parametrize("case", [
-    (FamilyId.ZSQ2, dict(n=1.875, b=-1)),
-    (FamilyId.COS1, dict(n=1.00533)),
-    (FamilyId.RATCN5, dict(n=0.345, b=-1)),
-    _FIG5_LEFT,
-], ids=["zsq2-1.875", "cos1-1.00533", "ratcn5-0.345", "fig5-left"])
 _EQUATIONS = pytest.mark.parametrize("lo, hi", [(1, 3), (2, 4)], ids=["K", "KP"])
 
 
+def _integrands(ev, pr, g, tf, lo, hi):
+    """The raw and norm integrands of one bump at one point, from one
+    phi table."""
+    def both(x):
+        x = np.array([float(x)])
+        u = ev(x)
+        phi_lo, phi_hi = weakform._testfn_derivs([tf], np.zeros(1, dtype=int), x, (lo, hi))
+        disp = pr.b * u ** pr.n * phi_hi
+        return float(((-g * u + pr.a * u ** pr.m) * phi_lo + disp)[0]), abs(float(disp[0]))
+
+    return (lambda x: both(x)[0]), (lambda x: both(x)[1])
+
+
+_ZSQ2, _COS1 = (FamilyId.ZSQ2, dict(n=1.875, b=-1)), (FamilyId.COS1, dict(n=1.00533))
+
+
+class TestSharedNodes:
+    """The battery's raw residuals and norms, integrated on one node set,
+    against mpmath's quadrature of each bump's two integrands apart, on
+    the same breaks.  The norm is only a scale, and its integrand has
+    kinks at the zeros of phi^(hi), where neither side splits.  (At
+    p ~ 375 the bumps that see only the far tail, where U < 1e-44, are left
+    out: there mp.quad needs the support cut into ~1000 pieces before it
+    agrees with the verifier.)"""
+
+    @pytest.mark.parametrize("case, lo, hi, raw_tol", [
+        pytest.param(_ZSQ2, 1, 3, 1e-14, id="K-zsq2-1.875"),
+        pytest.param(_ZSQ2, 2, 4, 1e-14, id="KP-zsq2-1.875"),
+        # p ~ 375: the integrand's own rounding, 1.0e-12 of the norm
+        pytest.param(_COS1, 1, 3, 1e-11, id="K-cos1-1.00533"),
+        pytest.param(_COS1, 2, 4, 1e-11, id="KP-cos1-1.00533"),
+        pytest.param((FamilyId.COS2, dict(m=0.125, b=-1)), 2, 4, 1e-14, id="KP-cos2-0.125"),
+        pytest.param(_FIG5_LEFT, 1, 3, 1e-14, id="K-fig5-left"),
+    ])
+    def test_same_as_separate_loops(self, case, lo, hi, raw_tol):
+        mp = pytest.importorskip("mpmath")
+        ev, pr, L = _profile_of(case)
+        tfs = bump_battery(L)
+        raws, norms, _ = weakform._residuals(ev, pr, 1.0, tfs, L, lo, hi)
+        x0, x1, pb, pj = weakform._partition(tfs, L)
+        for i in (8, 12, 13):   # every width, both degrees, one at the edge
+            raw_f, norm_f = _integrands(ev, pr, 1.0, tfs[i], lo, hi)
+            mine = pj[pb == i]
+            breaks = [x0[mine[0]], *x1[mine]]
+            with mp.workdps(15):
+                raw, norm = float(mp.quad(raw_f, breaks)), float(mp.quad(norm_f, breaks))
+            assert abs(raws[i] - raw) <= raw_tol * norm, (i, raws[i], raw, norm)
+            assert abs(norms[i] - norm) <= 1e-3 * norm, (i, norms[i], norm)
+
+
+_BATCH_CASES = pytest.mark.parametrize("case, raw_tol", [
+    pytest.param(_ZSQ2, 1e-14, id="zsq2-1.875"),
+    # the profiles' own edge floors: 2.5e-12 and 1.1e-11 of the norm
+    pytest.param(_COS1, 1e-11, id="cos1-1.00533"),
+    pytest.param((FamilyId.RATCN5, dict(n=0.345, b=-1)), 5e-11, id="ratcn5-0.345"),
+    pytest.param(_FIG5_LEFT, 1e-14, id="fig5-left"),
+])
+
+
+def _same_as_battery_of_one(ev, pr, g, tfs, L, lo, hi, raw_tol):
+    """Each bump of a battery integrated with the others agrees with that
+    bump alone, whose partition has only its own ends: the raw integral to
+    ``raw_tol`` of the norm, and the scaled residual to ``raw_tol``.  The
+    norm itself is only a scale: a lone bump whose raw integral is 0 by
+    symmetry (degree 0 at the center, K) stops at the first check, with
+    its norm a few percent off."""
+    raws, norms, errs = weakform._residuals(ev, pr, g, tfs, L, lo, hi)
+    for i, tf in enumerate(tfs):
+        raw, norm, _ = weakform._residual(ev, pr, g, tf, L, lo, hi)
+        assert abs(raws[i] - raw) <= raw_tol * norm, (i, raws[i], raw, norm)
+        if norm > 0:
+            assert abs(raws[i] / norms[i] - raw / norm) <= raw_tol, (i, norms[i], norm)
+    return raws, norms, errs
+
+
 class TestBatchedLevels:
-    """Every (bump, piece) pair of a report integrated level by level in
-    one loop gives the bits of one loop per piece and per integrand."""
+    """A report integrates its whole battery level by level on one joint
+    partition: each bump agrees with itself integrated alone, and the
+    size of the phi tables moves no bit."""
 
     @_BATCH_CASES
     @_EQUATIONS
-    def test_battery_same_as_separate_loops(self, case, lo, hi):
+    def test_battery_same_as_separate_loops(self, case, raw_tol, lo, hi):
         ev, pr, L = _profile_of(case)
-        g = 1.0
-        tfs = bump_battery(L)
-        raws, norms, errs = weakform._residuals(ev, pr, g, tfs, L, lo, hi)
-        for i, tf in enumerate(tfs):
-            def raw_f(x):
-                u = ev(x)
-                return ((-g * u + pr.a * u ** pr.m) * evaluate_testfn(tf, x, lo)
-                        + pr.b * u ** pr.n * evaluate_testfn(tf, x, hi))
-
-            def norm_f(x):
-                return np.abs(pr.b * ev(x) ** pr.n * evaluate_testfn(tf, x, hi))
-
-            pieces = weakform._support_pieces(L, tf, hi)
-            raw, err = _integrate_separately(raw_f, pieces)
-            norm, _ = _integrate_separately(norm_f, pieces)
-            assert (raws[i], norms[i], errs[i]) == (raw, norm, err), i
+        _same_as_battery_of_one(ev, pr, 1.0, bump_battery(L), L, lo, hi, raw_tol)
 
     @_BATCH_CASES
     @_EQUATIONS
     @pytest.mark.parametrize("chunk", [128, 2 ** 20])
-    def test_chunk_size_does_not_move_a_bit(self, monkeypatch, case, lo, hi, chunk):
+    def test_chunk_size_does_not_move_a_bit(self, monkeypatch, case, raw_tol, lo, hi,
+                                            chunk):
         ev, pr, L = _profile_of(case)
         want = weakform._residuals(ev, pr, 1.0, bump_battery(L), L, lo, hi)
-        monkeypatch.setattr(weakform, "_CHUNK", chunk)
+        monkeypatch.setattr(weakform, "_TABLE", chunk)
         got = weakform._residuals(ev, pr, 1.0, bump_battery(L), L, lo, hi)
         for w, x in zip(want, got):
             assert np.array_equal(w, x)
@@ -365,56 +368,43 @@ class TestBatchedLevels:
         tfs = [TestFunction(center=c * L, width=w * L, modulation_degree=d)
                for c, w, d in [(-0.4, 0.7, 0), (0.1, 0.5, 1), (0.6, 0.9, 2),
                                (-0.9, 0.4, 3), (0.3, 1.5, 3), (5.0, 1.0, 2)]]
-        batched = weakform._residuals(ev, prof.params, prof.g, tfs, L, lo, hi)
-        for i, tf in enumerate(tfs):
-            one = weakform._residual(ev, prof.params, prof.g, tf, L, lo, hi)
-            assert tuple(a[i] for a in batched) == one
+        batched = _same_as_battery_of_one(ev, prof.params, prof.g, tfs, L, lo, hi, 1e-14)
         assert [a[-1] for a in batched] == [0.0, 0.0, 0.0]
         rep = verify_weak(ev, prof.params, prof.g, L, "K" if lo == 1 else "KP", tfs)
         assert rep.residuals[-1] == 0.0
         assert rep.max_abs_scaled < 1e-8
 
 
-class TestPhiZeroBreaks:
-    """The pieces split at every sign change of phi^(order), where the norm
-    integrand |b*u**n*phi^(order)| has a kink."""
-
-    @pytest.mark.parametrize("degree", [0, 1])
-    @pytest.mark.parametrize("order", [3, 4])
-    def test_zeros_are_sign_changes(self, order, degree):
-        tf = TestFunction(center=0.3, width=1.7, modulation_degree=degree)
-        ys = weakform._phi_zeros(order, degree)
-        grid = np.linspace(-1.0, 1.0, 200000)   # y = 0 is not a node
-        scale = np.max(np.abs(evaluate_testfn(tf, tf.center + tf.width * grid, order)))
-        signs = np.sign(evaluate_testfn(tf, tf.center + tf.width * grid, order))
-        # every sign change of the dense grid lies next to one listed zero
-        changes = grid[1:][signs[1:] * signs[:-1] < 0]
-        assert len(changes) == len(ys)
-        for y in ys:
-            x = tf.center + tf.width * y
-            assert abs(evaluate_testfn(tf, x, order)) <= 1e-12 * scale
-            h = 1e-6 * tf.width
-            assert evaluate_testfn(tf, x - h, order) * evaluate_testfn(tf, x + h, order) < 0
-
-    def test_zero_table(self):
-        # ROADMAP item 11's table, to the four digits it prints
-        assert np.round(weakform._phi_zeros(3, 0), 4).tolist() == [
-            -0.8951, -0.6105, 0.0, 0.6105, 0.8951]
-        assert np.round(weakform._phi_zeros(4, 1), 4).tolist() == [
-            -0.9372, -0.8571, -0.5461, 0.0, 0.5461, 0.8571, 0.9372]
-
-    def test_pieces_cover_the_support_once(self):
+class TestJointPartition:
+    def test_intervals_cover_each_support_once(self):
         L = 2.0
-        for tf in bump_battery(L):
-            for order in (3, 4):
-                pieces = weakform._support_pieces(L, tf, order)
-                if not pieces:
-                    assert tf.center - tf.width >= L or tf.center + tf.width <= -L
-                    continue
-                assert pieces[0][0] == max(-L, tf.center - tf.width)
-                assert pieces[-1][1] == min(L, tf.center + tf.width)
-                assert all(a < b for a, b in pieces)
-                assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+        tfs = bump_battery(L)
+        x0, x1, pb, pj = weakform._partition(tfs, L)
+        assert x0[0] == -L and x1[-1] == L
+        assert np.all(x0 < x1) and np.all(x1[:-1] <= x0[1:])
+        for i, tf in enumerate(tfs):
+            mine = pj[pb == i]
+            if not mine.size:
+                assert tf.center - tf.width >= L or tf.center + tf.width <= -L
+                continue
+            # contiguous, from the bump's first end inside [-L, L] to its last
+            assert np.array_equal(mine, np.arange(mine[0], mine[-1] + 1))
+            assert np.all(x1[mine[:-1]] == x0[mine[1:]])
+            tol = 1e-12 * L
+            assert abs(x0[mine[0]] - max(-L, tf.center - tf.width)) <= tol
+            assert abs(x1[mine[-1]] - min(L, tf.center + tf.width)) <= tol
+
+    def test_close_ends_merge_and_uncovered_intervals_go(self):
+        # ends 1e-14 and 2e-16 apart are one break (the tolerance is 1e-12
+        # times the narrowest width), and (-1, -0.5) and (0.5, 1), which no
+        # bump covers, are dropped
+        tfs = [TestFunction(center=0.0, width=0.5),
+               TestFunction(center=1e-14, width=0.5),
+               TestFunction(center=0.2, width=0.3 + 2e-16)]
+        x0, x1, pb, pj = weakform._partition(tfs, 1.0)
+        assert x0.tolist() == [-0.5, pytest.approx(-0.1, abs=1e-15)]
+        assert x1.tolist() == [x0[1], 0.5]
+        assert list(zip(pb.tolist(), pj.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)]
 
 
 class TestWorkCount:
@@ -424,10 +414,10 @@ class TestWorkCount:
     not exceed them."""
 
     @pytest.mark.parametrize("case,equation,pinned,calls", [
-        ((FamilyId.COS1, dict(n=2.0)), "K", 41472, 11),
-        ((FamilyId.RATCN5, dict(n=0.5, b=-1)), "KP", 52608, 14),
-        ((FamilyId.ZSQ2, dict(n=1.875, b=-1)), "KP", 354688, 70),
-        (_FIG5_LEFT, "K", 41856, 11),
+        ((FamilyId.COS1, dict(n=2.0)), "K", 6412, 6),
+        ((FamilyId.RATCN5, dict(n=0.5, b=-1)), "KP", 8204, 6),
+        (_ZSQ2, "KP", 8540, 6),
+        (_FIG5_LEFT, "K", 6412, 6),
     ], ids=["cos1-2-K", "ratcn5-0.5-KP", "zsq2-1.875-KP", "fig5-left-K"])
     def test_points_per_report(self, case, equation, pinned, calls):
         u_eval, params, L = _profile_of(case)
@@ -442,6 +432,25 @@ class TestWorkCount:
         assert len(seen) <= 1.1 * calls
 
 
+class TestScalingInvariance:
+    """U -> lam*U(xi/mu) maps the unit-coefficient profile onto the one at
+    (a, b, g); every term of the K and KP integrands then scales by the
+    same factor against a battery that scales with L, so each bump's
+    scaled residual is invariant up to quadrature error."""
+
+    @pytest.mark.parametrize("family", [FamilyId.COS1, FamilyId.CN2, FamilyId.RATCN5,
+                                        FamilyId.ZSQ2], ids=lambda f: f.value)
+    @pytest.mark.parametrize("equation", ["K", "KP"])
+    def test_scaled_residuals_invariant(self, family, equation):
+        kw = DRAWS[family][0]
+        unit = construct(family, **kw)
+        prof = construct(family, **{**kw, "a": 2.7, "b": 0.35 * kw.get("b", 1.0), "g": 1.9})
+        assert prof.L != unit.L
+        want = verify_weak(profile_eval(unit), unit.params, unit.g, unit.L, equation)
+        got = verify_weak(profile_eval(prof), prof.params, prof.g, prof.L, equation)
+        assert np.max(np.abs(np.subtract(got.residuals, want.residuals))) <= 1e-13
+
+
 class TestBoundaryQuantities:
     def test_cos1_limits_vanish(self):
         prof = construct(FamilyId.COS1, n=2)
@@ -451,11 +460,18 @@ class TestBoundaryQuantities:
         assert all(abs(q) / scale < 1e-5 for q in bq)
 
     def test_zero_profile(self):
+        # a stencil of zeros measures nothing: unavailable, not (0, 0, 0, 0)
         params = EquationParams(m=2.0, n=2.0, a=1.0, b=1.0)
-        bq = boundary_quantities(
-            lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            params, 1.0, 1.0)
-        assert bq == (0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(InvalidParameters, match="0 on the whole edge stencil"):
+            boundary_quantities(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                                params, 1.0, 1.0)
+
+    def test_underflowed_stencil(self):
+        # p ~ 375: U underflows to 0 on all of [L - 1e-3 L, L)
+        prof = construct(FamilyId.COS1, n=1.00533)
+        assert not np.any(evaluate(prof, prof.L * np.linspace(0.999, 1.0, 7)))
+        with pytest.raises(InvalidParameters, match="0 on the whole edge stencil"):
+            boundary_quantities(profile_eval(prof), prof.params, prof.g, prof.L)
 
 
 class TestNegativeControl:
