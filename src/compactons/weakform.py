@@ -186,11 +186,11 @@ _T_MAX = 3.5      # tanh-sinh abscissae t = j * 2**-(level+1), |t| <= _T_MAX
 _LEVELS = 8       # the last level
 _TOL = 1e-14      # relative to each covering bump's norm
 _TABLE = 4096     # most (bump, node) pairs in one phi table
-# Some of a report's temporaries are above glibc's initial 128 KB mmap
-# threshold, so each would be mapped, faulted in page by page and unmapped
-# again.  Freeing one 16 MB mapped block raises glibc's mmap
-# and trim thresholds to 16 and 32 MB, after which those temporaries reuse
-# heap pages.  The block is never written, so it costs no resident memory.
+# A report's larger per-level temporaries are above glibc's initial 128 KB
+# mmap threshold, so each would be mapped, faulted in page by page and
+# unmapped again.  Freeing one 16 MB mapped block raises glibc's mmap and
+# trim thresholds to 16 and 32 MB, after which those temporaries reuse heap
+# pages.  The block is never written, so it costs no resident memory.
 np.empty(1 << 21)
 
 

@@ -231,7 +231,6 @@ class TestBoundaryUnavailable:
         assert data["boundary_quantities"] is None
         assert data["passed"] is True
 
-
     def test_underflowed_stencil_is_unavailable(self, tmp_path, capsys):
         # cos1 p ~ 375: U is 0 on the whole stencil; the exit code comes
         # from the verdicts alone

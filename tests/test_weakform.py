@@ -328,7 +328,7 @@ def _same_as_battery_of_one(ev, pr, g, tfs, L, lo, hi, raw_tol):
     ``raw_tol`` of the norm, and the scaled residual to ``raw_tol``.  The
     norm itself is only a scale: a lone bump whose raw integral is 0 by
     symmetry (degree 0 at the center, K) stops at the first check, with
-    its norm a few percent off."""
+    its norm under-resolved."""
     raws, norms, errs = weakform._residuals(ev, pr, g, tfs, L, lo, hi)
     for i, tf in enumerate(tfs):
         raw, norm, _ = weakform._residual(ev, pr, g, tf, L, lo, hi)
