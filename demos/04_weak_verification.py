@@ -7,8 +7,6 @@ and beyond the support edge, which is exactly where a wrong cutoff
 would betray itself.
 """
 
-from functools import partial
-
 import numpy as np
 
 from compactons import (
@@ -16,7 +14,6 @@ from compactons import (
     boundary_quantities,
     construct,
     endpoint_power_fit,
-    evaluate,
     verify_weak,
 )
 
@@ -27,28 +24,26 @@ for family, kwargs in [
     (FamilyId.RATCN4, dict(n=0.5, b=-1)),
 ]:
     prof = construct(family, **kwargs)
-    ev = partial(evaluate, prof)
     for eq in ("K", "KP"):
-        rep = verify_weak(ev, prof.params, prof.g, prof.L, eq)
+        rep = verify_weak(prof, prof.params, prof.g, prof.L, eq)
         print(f"  {family.value:8s} [{eq:2s}] max residual = "
               f"{rep.max_abs_scaled:.2e}")
 print()
 
 prof = construct(FamilyId.COS1, n=2)
-ev = partial(evaluate, prof)
 print("Boundary quantities vanish at a genuine compacton edge:")
-bq = boundary_quantities(ev, prof.params, prof.g, prof.L)
+bq = boundary_quantities(prof, prof.params, prof.g, prof.L)
 print("  A1..A4 =", ", ".join(f"{q:.2e}" for q in bq))
-print(f"  endpoint power fit = {endpoint_power_fit(ev, prof.L):.4f} "
+print(f"  endpoint power fit = {endpoint_power_fit(prof, prof.L):.4f} "
       f"(exact {prof.p:g})")
 print()
 
 print("Negative control: the same cosine clipped at half height")
-peak = evaluate(prof, 0.0)
+peak = prof(0.0)
 
 
 def clipped(x):
-    return np.maximum(evaluate(prof, x) - 0.5 * peak, 0.0)
+    return np.maximum(prof(x) - 0.5 * peak, 0.0)
 
 
 L_cut = prof.L / 2

@@ -35,6 +35,7 @@ from .existence import (
 )
 from .params import EquationParams, InvalidParameters, ProcedureRejection, WaveSpec
 from .shooting import (
+    BetaProfile,
     NumericCompacton,
     ReducedCoefficients,
     ShootTolerances,

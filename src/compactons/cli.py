@@ -29,7 +29,6 @@ import json
 import os
 import stat
 import sys
-from functools import partial
 
 from . import catalog, existence, shooting, weakform
 from .elliptic import DomainError
@@ -159,6 +158,17 @@ def _wave_spec(args) -> WaveSpec:
     return WaveSpec.for_K(args.g if args.g is not None else 1.0)
 
 
+def _catalog_profile(args, spec: WaveSpec) -> catalog.ClosedFormProfile:
+    return catalog.construct(catalog.FamilyId(args.family), n=args.n, m=args.m,
+                             a=args.a, b=args.b, g=spec.g, kind=spec.kind,
+                             sigma=args.sigma if spec.kind == "KP" else None)
+
+
+def _equation_params(args, spec: WaveSpec) -> EquationParams:
+    return EquationParams(m=args.m, n=args.n, a=args.a, b=args.b, kind=spec.kind,
+                          sigma=args.sigma if spec.kind == "KP" else None)
+
+
 def _emit(text: str, output: str | None) -> None:
     path = _resolve_output(output)
     if path is None:
@@ -172,13 +182,7 @@ def _emit(text: str, output: str | None) -> None:
 # subcommands
 
 def cmd_profile(args) -> int:
-    spec = _wave_spec(args)
-    kind = spec.kind
-    prof = catalog.construct(
-        catalog.FamilyId(args.family), n=args.n, a=args.a, b=args.b,
-        g=spec.g, m=args.m, kind=kind,
-        sigma=args.sigma if kind == "KP" else None,
-    )
+    prof = _catalog_profile(args, _wave_spec(args))
     sampled = catalog.sample(prof, args.count)
     text = sampled.to_json() if args.format == "json" else sampled.to_csv()
     output = args.output
@@ -229,12 +233,8 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = _wave_spec(args)
-    params = EquationParams(
-        m=args.m, n=args.n, a=args.a, b=args.b, kind=spec.kind,
-        sigma=args.sigma if spec.kind == "KP" else None,
-    )
     tol = shooting.ShootTolerances(rtol=args.rtol, grid_points=args.grid_points)
-    nc = shooting.shoot(params, spec.g, tolerances=tol)
+    nc = shooting.shoot(_equation_params(args, spec), spec.g, tolerances=tol)
     print(f"V0={nc.V0!r}")
     print(f"L_quadrature={nc.L_quadrature!r} L_shoot={nc.L_shoot!r}")
     print(f"energy_residual_max={nc.energy_residual_max:.3e}")
@@ -253,40 +253,32 @@ def cmd_verify(args) -> int:
     if args.numeric:
         if args.m is None or args.n is None:
             raise InvalidParameters("--numeric verification needs --m and --n")
-        params = EquationParams(m=args.m, n=args.n, a=args.a, b=args.b,
-                                kind=spec.kind,
-                                sigma=args.sigma if spec.kind == "KP" else None)
-        u_eval, L = shooting.inverse_beta_profile(params, spec.g)
+        prof = shooting.inverse_beta_profile(_equation_params(args, spec), spec.g)
         label = f"numeric m={args.m:g} n={args.n:g}"
     else:
         if args.family is None:
             raise InvalidParameters("verify needs --family or --numeric")
-        prof = catalog.construct(
-            catalog.FamilyId(args.family), n=args.n, a=args.a, b=args.b,
-            g=spec.g, m=args.m, kind=spec.kind,
-            sigma=args.sigma if spec.kind == "KP" else None,
-        )
-        params, u_eval, L = prof.params, partial(catalog.evaluate, prof), prof.L
+        prof = _catalog_profile(args, spec)
         label = prof.family.value
     equations = ("K", "KP") if args.equation == "both" else (args.equation,)
     reports = {}
     failed = False
     for eq in equations:
-        rep = weakform.verify_weak(u_eval, params, spec.g, L, eq)
+        rep = weakform.verify_weak(prof, prof.params, prof.g, prof.L, eq)
         ok = rep.max_abs_scaled < args.threshold
         failed = failed or not ok
         reports[eq] = rep
         print(f"{label} [{eq}] max scaled residual {rep.max_abs_scaled:.3e} "
               f"(threshold {args.threshold:g}) -> {'pass' if ok else 'FAIL'}")
     try:
-        bq = list(weakform.boundary_quantities(u_eval, params, spec.g, L))
+        bq = list(weakform.boundary_quantities(prof, prof.params, prof.g, prof.L))
         print("boundary A1..A4: " + ", ".join(f"{q:.3e}" for q in bq))
     except InvalidParameters as exc:
         # as for the fit below: a diagnostic that cannot be computed
         bq = None
         print(f"boundary A1..A4: unavailable ({exc})")
     try:
-        pfit = weakform.endpoint_power_fit(u_eval, L)
+        pfit = weakform.endpoint_power_fit(prof, prof.L)
         print(f"endpoint power fit: {pfit:.4f}")
     except InvalidParameters as exc:
         # the profile underflows before the fit's samples: a diagnostic

@@ -17,7 +17,7 @@ half-width L.  Two independent routes to the same object are computed:
       L = B(alpha, 1/2) / (d kappa),   kappa**2 = |B| V0**(1/n - 1),
       U(xi) = V0**(1/n) * I^-1((L - |xi|)/L; alpha, 1/2) ** (1/|m - 1|),
 
-  which ``inverse_beta_profile`` returns as a callable, and
+  which ``inverse_beta_profile`` returns as a callable ``BetaProfile``, and
 - direct integration of the second-order oscillator
   V'' = (1/2) ((1 + 1/n) B V**(1/n) - (1 + m/n) A V**(m/n))
   with event detection at a small cutoff amplitude and an asymptotic
@@ -40,6 +40,7 @@ import numpy as np
 from .params import EquationParams, InvalidParameters, ProcedureRejection
 
 __all__ = [
+    "BetaProfile",
     "ReducedCoefficients",
     "NumericCompacton",
     "ShootTolerances",
@@ -70,11 +71,13 @@ class ReducedCoefficients:
     B: float
 
 
+_ATOL_SCALE = 1e-12   # the ODE's absolute tolerance is _ATOL_SCALE * V0
+_CUT_SCALE = 1e-3     # switch to the desingularized tail at _CUT_SCALE * V0
+
+
 @dataclass(frozen=True)
 class ShootTolerances:
     rtol: float = 1e-10
-    atol_scale: float = 1e-12   # absolute tolerance is atol_scale * V0
-    cut_scale: float = 1e-3     # switch to the desingularized tail here
     grid_points: int = 801
 
 
@@ -92,28 +95,31 @@ class NumericCompacton:
     g: float
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["xi", "V", "U"])
-        for x, v, u in zip(self.grid, self.V, self.U):
-            w.writerow([repr(float(x)), repr(float(v)), repr(float(u))])
-        return buf.getvalue()
+        return _write_columns("csv", {"xi": self.grid, "V": self.V, "U": self.U})
 
     def to_json(self) -> str:
-        return json.dumps({
-            "metadata": {
-                "m": self.params.m, "n": self.params.n,
-                "a": self.params.a, "b": self.params.b,
-                "kind": self.params.kind, "sigma": self.params.sigma,
-                "g": self.g, "V0": self.V0,
-                "L_quadrature": self.L_quadrature, "L_shoot": self.L_shoot,
-                "energy_residual_max": self.energy_residual_max,
-                "cutoff_residuals": list(self.cutoff_residuals),
-            },
-            "xi": [float(v) for v in self.grid],
-            "V": [float(v) for v in self.V],
-            "U": [float(v) for v in self.U],
-        }, indent=2)
+        return _write_columns("json", {"xi": self.grid, "V": self.V, "U": self.U}, {
+            "m": self.params.m, "n": self.params.n,
+            "a": self.params.a, "b": self.params.b,
+            "kind": self.params.kind, "sigma": self.params.sigma,
+            "g": self.g, "V0": self.V0,
+            "L_quadrature": self.L_quadrature, "L_shoot": self.L_shoot,
+            "energy_residual_max": self.energy_residual_max,
+            "cutoff_residuals": list(self.cutoff_residuals),
+        })
+
+
+def _write_columns(fmt: str, columns: dict, metadata: dict | None = None) -> str:
+    """Equal-length float columns as CSV (a header row, then each value's
+    repr) or as indented JSON (the metadata, then each column as a list)."""
+    lists = {name: np.asarray(col, dtype=float).tolist() for name, col in columns.items()}
+    if fmt == "json":
+        return json.dumps({"metadata": metadata, **lists}, indent=2)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(lists.keys())
+    w.writerows(zip(*([repr(v) for v in col] for col in lists.values())))
+    return buf.getvalue()
 
 
 def coefficients(params: EquationParams, g: float) -> ReducedCoefficients:
@@ -202,36 +208,49 @@ def _crest(params: EquationParams, g: float) -> tuple[ReducedCoefficients, float
     return coeffs, V0
 
 
-def inverse_beta_profile(params: EquationParams, g: float):
-    """The compacton in closed form: (U as a callable, L).
+@dataclass(frozen=True)
+class BetaProfile:
+    """A numeric compacton in closed form, called as U(xi): a float for a
+    scalar xi, an array for an array.
 
-    U(xi) = V0**(1/n) * I^-1(y; alpha, 1/2) ** (1/|m - 1|) with
-    y = (L - |xi|)/L, formed from the difference, and U = 0 for
-    |xi| >= L.  Where the true t = I^-1(y) underflows, ``betaincinv``
-    stops at the smallest normal float instead of decaying, so below
-    t = 1e-300 the leading term of I(t) = t**alpha / (alpha B(alpha, 1/2))
-    gives log t = (log alpha + log B(alpha, 1/2) + log y) / alpha.
+    U(xi) = U0 * I^-1(y; alpha, 1/2) ** (1/|m - 1|) with crest
+    U0 = V0**(1/n), y = (L - |xi|)/L formed from the difference, and U = 0
+    for |xi| >= L; U ~ (L - |xi|)**p at the edge, p = 2/(n - min(1, m)).
+    Where the true t = I^-1(y) underflows, ``betaincinv`` stops at the
+    smallest normal float instead of decaying, so below t = 1e-300 the
+    leading term of I(t) = t**alpha / (alpha B(alpha, 1/2)) gives
+    log t = (log alpha + log B(alpha, 1/2) + log y) / alpha.
     """
-    from scipy.special import betaincinv, betaln
 
-    coeffs, V0 = _crest(params, g)
-    L = half_width_quadrature(coeffs, params, V0)
-    alpha = _alpha(params)
-    log_front = math.log(alpha) + betaln(alpha, 0.5)
-    U0, power = V0 ** (1.0 / params.n), 1.0 / abs(params.m - 1.0)
+    params: EquationParams
+    g: float
+    L: float
+    p: float
+    U0: float
 
-    def u_eval(xi):
-        y = (L - np.abs(np.asarray(xi, dtype=float))) / L
+    def __call__(self, xi):
+        from scipy.special import betaincinv, betaln
+
+        alpha = _alpha(self.params)
+        log_front = math.log(alpha) + betaln(alpha, 0.5)
+        power = 1.0 / abs(self.params.m - 1.0)
+        y = (self.L - np.abs(np.asarray(xi, dtype=float))) / self.L
         u = np.zeros_like(y)
         inside = y > 0
         t = betaincinv(alpha, 0.5, y[inside])
         tiny = t < 1e-300
-        u_in = U0 * t ** power
-        u_in[tiny] = U0 * np.exp((log_front + np.log(y[inside][tiny])) / alpha * power)
+        u_in = self.U0 * t ** power
+        u_in[tiny] = self.U0 * np.exp((log_front + np.log(y[inside][tiny])) / alpha * power)
         u[inside] = u_in
-        return u
+        return float(u) if u.ndim == 0 else u
 
-    return u_eval, L
+
+def inverse_beta_profile(params: EquationParams, g: float) -> BetaProfile:
+    """The compacton at (params, g) in closed form, as a ``BetaProfile``."""
+    coeffs, V0 = _crest(params, g)
+    return BetaProfile(params=params, g=g, L=half_width_quadrature(coeffs, params, V0),
+                       p=2.0 / (params.n - min(1.0, params.m)),
+                       U0=V0 ** (1.0 / params.n))
 
 
 def _tail_exponents(coeffs: ReducedCoefficients, params: EquationParams):
@@ -289,7 +308,7 @@ def shoot(params: EquationParams, g: float,
         v = y[0]
         return [y[1], c1 * _signed_pow(v, 1.0 / n) - c2 * _signed_pow(v, m / n)]
 
-    v_cut = tol.cut_scale * V0
+    v_cut = _CUT_SCALE * V0
 
     def hit_cut(_, y):
         return y[0] - v_cut
@@ -297,7 +316,7 @@ def shoot(params: EquationParams, g: float,
     hit_cut.direction = -1
 
     sol = solve_ivp(rhs, (0.0, 10.0 * L_quad), [V0, 0.0], method="DOP853",
-                    rtol=tol.rtol, atol=tol.atol_scale * V0,
+                    rtol=tol.rtol, atol=_ATOL_SCALE * V0,
                     events=hit_cut, dense_output=True)
     if sol.status != 1 or not len(sol.t_events[0]):
         raise ProcedureRejection(
@@ -323,7 +342,7 @@ def shoot(params: EquationParams, g: float,
 
     tail = solve_ivp(z_rhs, (xi_cut, xi_cut + 10.0 * L_quad), [z_cut],
                      method="DOP853", rtol=tol.rtol,
-                     atol=tol.atol_scale * z_cut, events=hit_zero,
+                     atol=_ATOL_SCALE * z_cut, events=hit_zero,
                      dense_output=True)
     if tail.status != 1 or not len(tail.t_events[0]):
         raise ProcedureRejection("endpoint not reached below the cutoff amplitude")

@@ -303,13 +303,13 @@ def residual_KP(u_eval, params: EquationParams, g: float, tf: TestFunction,
     return _residual(u_eval, params, g, tf, L, 2, 4)[0]
 
 
-def bump_battery(L: float, count: int = 25) -> list[TestFunction]:
+def bump_battery(L: float) -> list[TestFunction]:
     """Deterministic battery: centers uniform over [-1.5L, 1.5L], widths
     cycling {0.3L, 0.6L, 1.2L}, modulation degrees alternating {0, 1}."""
     widths = (0.3 * L, 0.6 * L, 1.2 * L)
     return [
         TestFunction(center=c, width=widths[i % 3], modulation_degree=i % 2)
-        for i, c in enumerate(np.linspace(-1.5 * L, 1.5 * L, count))
+        for i, c in enumerate(np.linspace(-1.5 * L, 1.5 * L, 25))
     ]
 
 
@@ -330,8 +330,7 @@ class ResidualReport:
 
 
 def verify_weak(u_eval, params: EquationParams, g: float, L: float,
-                equation: str = "K",
-                battery: list[TestFunction] | None = None) -> ResidualReport:
+                equation: str = "K") -> ResidualReport:
     """Scaled residuals of the weak form over the whole bump battery.
 
     Each residual is divided by the L1 norm of its dispersive term; a
@@ -340,8 +339,7 @@ def verify_weak(u_eval, params: EquationParams, g: float, L: float,
     if equation not in ("K", "KP"):
         raise InvalidParameters(f"equation must be 'K' or 'KP', got {equation!r}")
     lo, hi = (1, 3) if equation == "K" else (2, 4)
-    tfs = battery if battery is not None else bump_battery(L)
-    raws, norms, errs = _residuals(u_eval, params, g, tfs, L, lo, hi)
+    raws, norms, errs = _residuals(u_eval, params, g, bump_battery(L), L, lo, hi)
     scaled = []
     max_err = 0.0
     for raw, norm, err in zip(raws.tolist(), norms.tolist(), errs.tolist()):
@@ -354,8 +352,7 @@ def verify_weak(u_eval, params: EquationParams, g: float, L: float,
                           quadrature_error_estimate=max_err)
 
 
-def boundary_quantities(u_eval, params: EquationParams, g: float, L: float,
-                        delta: float | None = None
+def boundary_quantities(u_eval, params: EquationParams, g: float, L: float
                         ) -> tuple[float, float, float, float]:
     """One-sided limits at the support edge of the four cutoff quantities
 
@@ -370,8 +367,7 @@ def boundary_quantities(u_eval, params: EquationParams, g: float, L: float,
     raises InvalidParameters.
     """
     m, n, a, b = params.m, params.n, params.a, params.b
-    if delta is None:
-        delta = 1e-3 * L
+    delta = 1e-3 * L
     h = delta / 8.0
     center = L - delta / 2.0
     x = center + np.arange(-3, 4) * h
@@ -397,10 +393,9 @@ def boundary_quantities(u_eval, params: EquationParams, g: float, L: float,
     return out
 
 
-def endpoint_power_fit(u_eval, L: float, lo_frac: float = 0.95,
-                       hi_frac: float = 0.999, count: int = 50) -> float:
+def endpoint_power_fit(u_eval, L: float) -> float:
     """Least-squares slope of log U against log(L - xi) near the edge."""
-    xs = np.linspace(lo_frac * L, hi_frac * L, count)
+    xs = np.linspace(0.95 * L, 0.999 * L, 50)
     u = np.asarray(u_eval(xs), dtype=float)
     if np.any(u <= 0):
         raise InvalidParameters(

@@ -1,14 +1,14 @@
 """Shared fixtures: admissible parameter draws and profile helpers."""
 
 import math
-from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp, tanhsinh
 
 from compactons import catalog
 from compactons.catalog import FamilyId
-from compactons.shooting import center_amplitude, coefficients
+from compactons.params import EquationParams
+from compactons.shooting import center_amplitude, coefficients, inverse_beta_profile
 
 # Three admissible parameter draws per family.  The free power is n for
 # every family except COS2 (parameterized by m with n = 1); the sign of
@@ -31,9 +31,28 @@ DRAWS: dict[FamilyId, list[dict]] = {
 }
 
 
-def profile_eval(profile):
-    """Total evaluation callable (zero outside support) for a profile."""
-    return partial(catalog.evaluate, profile)
+# Numeric (inverse-beta) points, at g = 1: fig. 5 of the paper, left and
+# right, and one more point on each side of m = 1.
+NUMERIC_POINTS = [
+    EquationParams(m=2.25, n=2.0, a=1.0, b=1.0),
+    EquationParams(m=0.5, n=0.9, a=1.0, b=-1.0),
+    EquationParams(m=4.0, n=2.5, a=1.0, b=1.0),
+    EquationParams(m=0.3, n=0.7, a=1.0, b=-1.0),
+]
+
+
+def profile_at(case):
+    """The catalog profile at a family's first draw, or the numeric profile
+    at a point of NUMERIC_POINTS."""
+    if isinstance(case, FamilyId):
+        return catalog.construct(case, **DRAWS[case][0])
+    return inverse_beta_profile(case, 1.0)
+
+
+def case_id(case):
+    if isinstance(case, FamilyId):
+        return case.value
+    return f"numeric-m{case.m:g}-n{case.n:g}"
 
 
 def strong_residual_scaled(profile, points=None, h=1e-5):

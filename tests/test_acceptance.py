@@ -25,7 +25,7 @@ from compactons.weakform import (
     verify_weak,
 )
 
-from conftest import DRAWS, oscillator_energy_residual, profile_eval
+from conftest import DRAWS, oscillator_energy_residual
 
 GOLDEN = Path(__file__).parent / "data" / "table1_golden.csv"
 
@@ -60,15 +60,14 @@ def test_03_weak_residual_suite():
     for family in FamilyId:
         for kwargs in DRAWS[family]:
             prof = construct(family, **kwargs)
-            ev = profile_eval(prof)
-            rep = verify_weak(ev, prof.params, prof.g, prof.L, "K")
+            rep = verify_weak(prof, prof.params, prof.g, prof.L, "K")
             assert rep.max_abs_scaled < 1e-7, (family, kwargs, rep.max_abs_scaled)
             # weak-KP admissibility per the published table
             var = "m" if family is FamilyId.COS2 else "n"
             cls = classify_family(family, **{var: kwargs[var],
                                              "b": kwargs.get("b", 1.0)})
             if cls.weak_KP is not None:
-                rep_kp = verify_weak(ev, prof.params, prof.g, prof.L, "KP")
+                rep_kp = verify_weak(prof, prof.params, prof.g, prof.L, "KP")
                 assert rep_kp.max_abs_scaled < 1e-7, (family, kwargs)
     assert time.perf_counter() - start < 120.0
 
@@ -81,9 +80,8 @@ def test_04_weak_only_fixtures_at_n2(family, m_expected):
     rep = classify_family(family, n=2)
     assert rep.weak_K and rep.weak_KP is not None
     assert not rep.strong_K and not rep.strong_KP
-    ev = profile_eval(prof)
     for eq in ("K", "KP"):
-        assert verify_weak(ev, prof.params, prof.g, prof.L,
+        assert verify_weak(prof, prof.params, prof.g, prof.L,
                            eq).max_abs_scaled < 1e-7
 
 
@@ -120,7 +118,7 @@ def test_06_numeric_reference_runs(params):
 def test_07_endpoint_power_recovery():
     for family in FamilyId:
         prof = construct(family, **DRAWS[family][0])
-        fit = endpoint_power_fit(profile_eval(prof), prof.L)
+        fit = endpoint_power_fit(prof, prof.L)
         assert fit == pytest.approx(prof.p, rel=0.02), family
 
 

@@ -33,7 +33,14 @@ from compactons.shooting import (
     shoot,
 )
 
-from conftest import DRAWS, profile_eval, strong_residual_scaled, tanhsinh_half_width
+from conftest import (
+    DRAWS,
+    NUMERIC_POINTS,
+    case_id,
+    profile_at,
+    strong_residual_scaled,
+    tanhsinh_half_width,
+)
 
 ALL_FAMILIES = list(FamilyId)
 
@@ -222,12 +229,12 @@ class TestSampling:
 
 
 class TestEndpointBehavior:
-    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
-    def test_amplitude_power_law(self, family):
+    @pytest.mark.parametrize("case", ALL_FAMILIES + NUMERIC_POINTS, ids=case_id)
+    def test_amplitude_power_law(self, case):
         # U(L - d) / d**p converges as d -> 0 (finite, nonzero limit)
-        prof = construct(family, **DRAWS[family][0])
-        r1 = evaluate(prof, prof.L - 1e-3 * prof.L) / (1e-3 * prof.L) ** prof.p
-        r2 = evaluate(prof, prof.L - 1e-4 * prof.L) / (1e-4 * prof.L) ** prof.p
+        prof = profile_at(case)
+        r1 = prof(prof.L - 1e-3 * prof.L) / (1e-3 * prof.L) ** prof.p
+        r2 = prof(prof.L - 1e-4 * prof.L) / (1e-4 * prof.L) ** prof.p
         assert r1 > 0 and r2 > 0
         assert r2 == pytest.approx(r1, rel=0.05)
 
@@ -242,6 +249,20 @@ class TestEndpointBehavior:
             prof = construct(family, **kw)
             assert prof.p == pytest.approx((2 if double else 1) * prof.exponent,
                                            rel=1e-12)
+
+
+class TestProfileProtocol:
+    """Catalog and numeric profiles are called alike: a scalar gives a
+    float, an array an array, and U is 0 from the edge on."""
+
+    @pytest.mark.parametrize("case", [FamilyId.COS1, NUMERIC_POINTS[0]], ids=case_id)
+    def test_scalar_gives_float(self, case):
+        prof = profile_at(case)
+        values = [prof(xi) for xi in (0, prof.L, 2 * prof.L)]
+        assert [type(v) for v in values] == [float, float, float]
+        assert values[0] > 0 and values[1:] == [0.0, 0.0]
+        out = prof(np.array([0, prof.L, 2 * prof.L]))
+        assert isinstance(out, np.ndarray) and out.tolist() == values
 
 
 def _point_id(point):
@@ -338,8 +359,8 @@ class TestInverseBetaOracle:
         family, kw = point
         prof = construct(family, **kw)
         L, U = _inverse_beta(prof.params, prof.g)
-        u_eval, L_num = inverse_beta_profile(prof.params, prof.g)
-        assert abs(L_num - L) <= 2e-15 * L
+        u_eval = inverse_beta_profile(prof.params, prof.g)
+        assert abs(u_eval.L - L) <= 2e-15 * L
         xs = np.linspace(-1.01 * L, 1.01 * L, 4001)
         U0 = U(np.zeros(1))[0]
         assert np.max(np.abs(u_eval(xs) - U(xs))) <= 2e-14 * U0

@@ -27,7 +27,7 @@ from compactons.catalog import FamilyId, admissible_interval, construct
 from compactons.params import EquationParams
 from compactons.weakform import verify_weak
 
-from conftest import DRAWS, profile_eval
+from conftest import DRAWS
 
 EPS = 1e-6
 THRESHOLD = 1e-7   # the verifier's default
@@ -37,7 +37,7 @@ EXACT = 1e-12
 def mutants(prof):
     """(name, u_eval, params, L) of the unperturbed profile and its four
     eps-mutants."""
-    ev, pr, L = profile_eval(prof), prof.params, prof.L
+    ev, pr, L = prof, prof.params, prof.L
 
     def tail(x):
         x = np.asarray(x, dtype=float)

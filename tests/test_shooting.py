@@ -124,7 +124,8 @@ class TestInverseBetaProfile:
         # 1.7e-8 at these draws (m = 3.36), above the bound checked here
         params = EquationParams(m=m, n=n, a=a, b=b)
         nc = shoot(params, g, ShootTolerances(rtol=1e-12))
-        u_eval, L = inverse_beta_profile(params, g)
+        u_eval = inverse_beta_profile(params, g)
+        L = u_eval.L
         assert L == nc.L_quadrature
         assert abs(nc.L_shoot - L) <= 1e-8 * L
         crest = float(u_eval(np.zeros(1))[0])
@@ -135,7 +136,8 @@ class TestInverseBetaProfile:
         # alpha = 0.015: the true t = I^-1(y) underflows for y below about
         # 2.4e-6, where betaincinv stops at 2.2e-308 instead of decaying
         params = EquationParams(m=2.0, n=1.03, a=1.0, b=1.0)
-        u_eval, L = inverse_beta_profile(params, 1.0)
+        u_eval = inverse_beta_profile(params, 1.0)
+        L = u_eval.L
         xs = L * (1.0 - np.geomspace(1.0, 1e-12, 2001))
         U = u_eval(xs)
         positive = U[U > 0]

@@ -21,7 +21,6 @@ and records the old and new residuals side by side.
 import json
 import os
 import sys
-from functools import partial
 
 import pytest
 
@@ -52,22 +51,19 @@ POINTS = [
 
 
 def _profile(point: dict):
-    """(u_eval, params, L) as ``compactons verify`` builds them."""
+    """The profile as ``compactons verify`` builds it."""
     kw = dict(point)
     family = kw.pop("family", None)
     if family is None:
-        params = EquationParams(**{"a": 1.0, "b": 1.0, **kw})
-        u_eval, L = shooting.inverse_beta_profile(params, 1.0)
-        return u_eval, params, L
-    prof = catalog.construct(FamilyId(family), **kw)
-    return partial(catalog.evaluate, prof), prof.params, prof.L
+        return shooting.inverse_beta_profile(EquationParams(**{"a": 1.0, "b": 1.0, **kw}), 1.0)
+    return catalog.construct(FamilyId(family), **kw)
 
 
 def run_point(point: dict) -> dict:
-    u_eval, params, L = _profile(point)
+    prof = _profile(point)
     reports = {}
     for eq in ("K", "KP"):
-        rep = weakform.verify_weak(u_eval, params, 1.0, L, eq)
+        rep = weakform.verify_weak(prof, prof.params, 1.0, prof.L, eq)
         reports[eq] = {"residuals": list(rep.residuals),
                        "quadrature_error_estimate": rep.quadrature_error_estimate}
     return {"point": point, "reports": reports}

@@ -23,7 +23,7 @@ from compactons.weakform import (
     verify_weak,
 )
 
-from conftest import DRAWS, profile_eval
+from conftest import DRAWS, NUMERIC_POINTS, case_id, profile_at
 
 
 class TestTestFunction:
@@ -196,9 +196,9 @@ class TestResiduals:
     def test_locality_exact_zero(self):
         prof = construct(FamilyId.COS1, n=2)
         tf = TestFunction(center=10 * prof.L, width=prof.L)
-        assert residual_K(profile_eval(prof), prof.params, prof.g,
+        assert residual_K(prof, prof.params, prof.g,
                           tf, prof.L) == 0.0
-        assert residual_KP(profile_eval(prof), prof.params, prof.g,
+        assert residual_KP(prof, prof.params, prof.g,
                            tf, prof.L) == 0.0
 
     def test_zero_profile(self):
@@ -211,14 +211,13 @@ class TestResiduals:
         # the residual functional is linear in phi, so residuals of two
         # bumps sum to the residual of a profile perturbation seen by both
         prof = construct(FamilyId.ZSQ1, n=2)
-        ev = profile_eval(prof)
         tf1 = TestFunction(center=0.0, width=0.5 * prof.L)
         tf2 = TestFunction(center=0.2 * prof.L, width=0.5 * prof.L,
                            modulation_degree=1)
-        r1 = residual_K(ev, prof.params, prof.g, tf1, prof.L)
-        r2 = residual_K(ev, prof.params, prof.g, tf2, prof.L)
+        r1 = residual_K(prof, prof.params, prof.g, tf1, prof.L)
+        r2 = residual_K(prof, prof.params, prof.g, tf2, prof.L)
         # against a deliberately non-solution profile the sum must match too
-        bad = lambda x: ev(x) ** 2
+        bad = lambda x: prof(x) ** 2
         b1 = residual_K(bad, prof.params, prof.g, tf1, prof.L)
         b2 = residual_K(bad, prof.params, prof.g, tf2, prof.L)
         assert abs((r1 + r2) - (r2 + r1)) == 0.0
@@ -226,24 +225,24 @@ class TestResiduals:
 
     def test_verify_weak_cos1(self):
         prof = construct(FamilyId.COS1, n=2)
-        rep = verify_weak(profile_eval(prof), prof.params, prof.g, prof.L, "K")
+        rep = verify_weak(prof, prof.params, prof.g, prof.L, "K")
         assert rep.max_abs_scaled < 1e-8
         assert len(rep.residuals) == 25
         assert rep.quadrature_error_estimate < 1e-10
 
     def test_verify_weak_KP_zsq1(self):
         prof = construct(FamilyId.ZSQ1, n=2)
-        rep = verify_weak(profile_eval(prof), prof.params, prof.g, prof.L, "KP")
+        rep = verify_weak(prof, prof.params, prof.g, prof.L, "KP")
         assert rep.max_abs_scaled < 1e-8
 
     def test_invalid_equation(self):
         prof = construct(FamilyId.COS1, n=2)
         with pytest.raises(InvalidParameters):
-            verify_weak(profile_eval(prof), prof.params, prof.g, prof.L, "Q")
+            verify_weak(prof, prof.params, prof.g, prof.L, "Q")
 
     def test_report_json(self):
         prof = construct(FamilyId.COS1, n=2)
-        rep = verify_weak(profile_eval(prof), prof.params, prof.g, prof.L, "K")
+        rep = verify_weak(prof, prof.params, prof.g, prof.L, "K")
         data = json.loads(rep.to_json())
         assert data["equation"] == "K"
         assert len(data["residuals"]) == 25
@@ -253,10 +252,10 @@ def _profile_of(case):
     """(u_eval, params, L) of a catalog (family, kwargs) pair, or of the
     inverse-beta profile at g = 1 for an EquationParams."""
     if isinstance(case, EquationParams):
-        u_eval, L = inverse_beta_profile(case, 1.0)
-        return u_eval, case, L
-    prof = construct(case[0], **case[1])
-    return profile_eval(prof), prof.params, prof.L
+        prof = inverse_beta_profile(case, 1.0)
+    else:
+        prof = construct(case[0], **case[1])
+    return prof, prof.params, prof.L
 
 
 _FIG5_LEFT = EquationParams(m=2.25, n=2.0, a=1.0, b=1.0)
@@ -364,15 +363,14 @@ class TestBatchedLevels:
     @_EQUATIONS
     def test_user_battery_any_degree(self, lo, hi):
         prof = construct(FamilyId.CN2, n=2.0)
-        ev, L = profile_eval(prof), prof.L
+        L = prof.L
         tfs = [TestFunction(center=c * L, width=w * L, modulation_degree=d)
                for c, w, d in [(-0.4, 0.7, 0), (0.1, 0.5, 1), (0.6, 0.9, 2),
                                (-0.9, 0.4, 3), (0.3, 1.5, 3), (5.0, 1.0, 2)]]
-        batched = _same_as_battery_of_one(ev, prof.params, prof.g, tfs, L, lo, hi, 1e-14)
+        batched = _same_as_battery_of_one(prof, prof.params, prof.g, tfs, L, lo, hi, 1e-14)
         assert [a[-1] for a in batched] == [0.0, 0.0, 0.0]
-        rep = verify_weak(ev, prof.params, prof.g, L, "K" if lo == 1 else "KP", tfs)
-        assert rep.residuals[-1] == 0.0
-        assert rep.max_abs_scaled < 1e-8
+        raws, norms, _ = batched
+        assert max(abs(r / nm) for r, nm in zip(raws[:-1], norms[:-1])) < 1e-8
 
 
 class TestJointPartition:
@@ -446,16 +444,30 @@ class TestScalingInvariance:
         unit = construct(family, **kw)
         prof = construct(family, **{**kw, "a": 2.7, "b": 0.35 * kw.get("b", 1.0), "g": 1.9})
         assert prof.L != unit.L
-        want = verify_weak(profile_eval(unit), unit.params, unit.g, unit.L, equation)
-        got = verify_weak(profile_eval(prof), prof.params, prof.g, prof.L, equation)
+        want = verify_weak(unit, unit.params, unit.g, unit.L, equation)
+        got = verify_weak(prof, prof.params, prof.g, prof.L, equation)
         assert np.max(np.abs(np.subtract(got.residuals, want.residuals))) <= 1e-13
+
+    @pytest.mark.parametrize("point", NUMERIC_POINTS, ids=case_id)
+    @pytest.mark.parametrize("equation", ["K", "KP"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_numeric_scaled_residuals_invariant(self, point, equation, sign):
+        # (a, b, g) -> -(a, b, g) leaves U alone and negates the raw
+        # residual, so sign(g) times the scaled residual is the invariant
+        unit = inverse_beta_profile(point, 1.0)
+        params = EquationParams(m=point.m, n=point.n, a=2.7 * sign, b=0.35 * sign * point.b)
+        prof = inverse_beta_profile(params, 1.9 * sign)
+        assert prof.L != unit.L
+        want = verify_weak(unit, unit.params, unit.g, unit.L, equation)
+        got = verify_weak(prof, prof.params, prof.g, prof.L, equation)
+        assert np.max(np.abs(sign * np.array(got.residuals) - want.residuals)) <= 1e-13
 
 
 class TestBoundaryQuantities:
     def test_cos1_limits_vanish(self):
         prof = construct(FamilyId.COS1, n=2)
         scale = abs(prof.params.a) * evaluate(prof, 0.0) ** prof.params.m
-        bq = boundary_quantities(profile_eval(prof), prof.params,
+        bq = boundary_quantities(prof, prof.params,
                                  prof.g, prof.L)
         assert all(abs(q) / scale < 1e-5 for q in bq)
 
@@ -471,7 +483,7 @@ class TestBoundaryQuantities:
         prof = construct(FamilyId.COS1, n=1.00533)
         assert not np.any(evaluate(prof, prof.L * np.linspace(0.999, 1.0, 7)))
         with pytest.raises(InvalidParameters, match="0 on the whole edge stencil"):
-            boundary_quantities(profile_eval(prof), prof.params, prof.g, prof.L)
+            boundary_quantities(prof, prof.params, prof.g, prof.L)
 
 
 class TestNegativeControl:
@@ -512,8 +524,8 @@ class TestEndpointPowerFit:
             endpoint_power_fit(
                 lambda x: np.zeros_like(np.asarray(x, dtype=float)), 1.0)
 
-    @pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
-    def test_recovers_table_power(self, family):
-        prof = construct(family, **DRAWS[family][0])
-        fit = endpoint_power_fit(profile_eval(prof), prof.L)
+    @pytest.mark.parametrize("case", list(FamilyId) + NUMERIC_POINTS, ids=case_id)
+    def test_recovers_table_power(self, case):
+        prof = profile_at(case)
+        fit = endpoint_power_fit(prof, prof.L)
         assert fit == pytest.approx(prof.p, rel=0.02)
