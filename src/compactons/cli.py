@@ -249,6 +249,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 < args.threshold < float("inf"):
+        raise InvalidParameters(
+            f"--threshold must be finite and positive, got {args.threshold:g}")
     spec = _wave_spec(args)
     if args.numeric:
         if args.m is None or args.n is None:

@@ -20,11 +20,15 @@ Every report integrates its whole battery on one node set.  [-L, L] is
 split once, at every bump end inside it; on each interval every covering
 bump's integrand is analytic inside, with flat or algebraic ends, which
 is the case tanh-sinh quadrature is built for.  Each refinement level
-evaluates U once on the new nodes of every live interval and takes
-phi^(low) and phi^(high) of every (bump, node) pair from one bump table
-(mask, exp(-v) and the powers of y and v computed once, by
-multiplication).  The raw residual and its scaling norm are summed on
-the same nodes.
+evaluates U once on the new nodes of every live interval.  phi^(low) and
+phi^(high) come in (pair x node) tables: a row is one (bump, interval)
+pair, sorted by the bump's modulation degree, and its columns are the
+interval's new nodes, as many on every interval of a level.  A bump's
+center, width, degree and width powers are computed once per report and
+broadcast along its row; the bump table (v, exp(-v) and the powers of y
+and v, by multiplication) and the Leibniz rule for the monomial factor
+run on whole row blocks, with no per-point gather, compress or scatter.
+The raw residual and its scaling norm are summed on the same nodes.
 """
 
 from __future__ import annotations
@@ -99,73 +103,77 @@ def _bump_prefactors(max_order: int):
 _R = _bump_prefactors(_MAX_ORDER)
 
 
-def _powers(base: np.ndarray, top: int) -> list[np.ndarray]:
-    """[base**0, ..., base**top] by repeated multiplication (numpy's ``**``
-    takes a slow scalar path for negative bases and exponents >= 3)."""
-    out = [np.ones_like(base)]
+def _powers(base: np.ndarray, top: int) -> list:
+    """[1.0, base, ..., base**top] by repeated multiplication (numpy's ``**``
+    takes a slow scalar path for negative bases and exponents >= 3).  The
+    zeroth power is the float 1.0: a product with it is exact either way."""
+    out = [1.0]
     for _ in range(top):
         out.append(out[-1] * base)
     return out
 
 
-def _bump_derivs(y: np.ndarray, orders) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """B^(r)(y) for every r in ``orders``, from one table.
+def _bump_derivs(y: np.ndarray, orders) -> dict[int, np.ndarray]:
+    """B^(r)(y) for every r in ``orders``, each an array of y's shape.
 
-    Returns the mask of points where B is representable and, per order,
-    the derivative on those points; it is zero elsewhere.  The mask, v,
-    exp(-v) and the powers of y and v are computed once and shared by
-    every order.  Masking keeps the rational prefactor from overflowing
-    where the exponential has already underflowed.
+    The mask 1 - y**2 > 1/700, v, exp(-v) and the powers of y and v are
+    computed once and shared by every order.  B is zero outside the mask,
+    where exp(-v) has already underflowed: a point there takes v = 1, so
+    that the rational prefactor cannot overflow (y must be finite and not
+    far outside [-1, 1]), and is zeroed through exp(-v).  There is no
+    compress or scatter, and a point inside the mask sees the same
+    operations wherever it sits in the table.
     """
     v_inv = 1.0 - y * y
     mask = v_inv > 1.0 / 700.0  # exp(-v) underflows past this anyway
-    ym = y[mask]
-    v = 1.0 / v_inv[mask]
-    B = np.exp(-v)
+    v = 1.0 / np.where(mask, v_inv, 1.0)
+    B = np.exp(-v) * mask
     terms = [_R[r] for r in orders]
-    Y = _powers(ym, max(i for t in terms for i, _ in t))
+    Y = _powers(y, max(i for t in terms for i, _ in t))
     V = _powers(v, max(k for t in terms for _, k in t))
     out = {}
     for r, t in zip(orders, terms):
-        acc = np.zeros_like(ym)
+        acc = np.zeros(y.shape)
         for (i, k), cf in t.items():
             acc += cf * Y[i] * V[k]
         out[r] = acc * B
-    return mask, out
+    return out
 
 
-def _testfn_derivs(tfs: list[TestFunction], which: np.ndarray, x: np.ndarray,
-                   orders) -> list[np.ndarray]:
-    """phi^(r)(x) for every r in ``orders``, where point i belongs to the
-    test function ``tfs[which[i]]``: the Leibniz rule for the monomial
-    factor over one shared table of bump derivatives, taken per
-    modulation degree over the points of that degree."""
-    xc = x - np.array([tf.center for tf in tfs])[which]
-    y = xc / np.array([tf.width for tf in tfs])[which]
-    degrees = sorted({tf.modulation_degree for tf in tfs})
-    mask, B = _bump_derivs(y, sorted({r - j for d in degrees for r in orders
-                                      for j in range(min(r, d) + 1)}))
-    xcm, wm = xc[mask], which[mask]
-    dm = np.array([tf.modulation_degree for tf in tfs])[wm]
-    # width**(-e) as a Python float per test function (numpy's power can
-    # round differently in the last place)
-    wpow = np.array([[tf.width ** -e for e in range(_MAX_ORDER + 1)] for tf in tfs])
-    accs = [np.empty_like(xcm) for _ in orders]
-    for d in degrees:
-        sel = dm == d
-        XC = _powers(xcm[sel], d)
-        for acc, order in zip(accs, orders):
-            part = np.zeros_like(XC[0])
+def _bump_constants(tfs: list[TestFunction]):
+    """Center, width, modulation degree and width**(-e) for e = 0..4 of
+    every test function of ``tfs``, as arrays.  The powers are Python
+    floats: numpy's power can round differently in the last place."""
+    return (np.array([tf.center for tf in tfs]), np.array([tf.width for tf in tfs]),
+            np.array([tf.modulation_degree for tf in tfs]),
+            np.array([[tf.width ** -e for e in range(_MAX_ORDER + 1)] for tf in tfs]))
+
+
+def _testfn_derivs(bumps, rows: np.ndarray, x: np.ndarray, orders) -> list[np.ndarray]:
+    """phi^(r)(x) for every r in ``orders``, as (pair x node) tables of
+    x's shape: row i of ``x`` holds nodes of the test function ``rows[i]``
+    of ``bumps`` (`_bump_constants`), whose constants are broadcast along
+    the row.  Each run of consecutive rows of one modulation degree d takes
+    one bump table of the orders r - j it needs and the Leibniz rule for
+    the monomial factor on that row block; rows sorted by degree make the
+    fewest runs, any order gives the same values.
+    """
+    c, w, degree, wpow = bumps
+    xc = x - c[rows, None]
+    y = xc / w[rows, None]
+    d_row = degree[rows]
+    cuts = [0, *(np.flatnonzero(np.diff(d_row)) + 1).tolist(), len(rows)]
+    outs = [np.zeros(y.shape) for _ in orders]
+    for d, lo, hi in zip(d_row[cuts[:-1]].tolist(), cuts, cuts[1:]):
+        B = _bump_derivs(y[lo:hi], sorted({r - j for r in orders
+                                           for j in range(min(r, d) + 1)}))
+        XC = _powers(xc[lo:hi], d)
+        wr = wpow[rows[lo:hi]]
+        for out, order in zip(outs, orders):
+            part = out[lo:hi]
             for j in range(min(order, d) + 1):
                 falling = math.perm(d, j) * math.comb(order, j)
-                part += (falling * XC[d - j] * B[order - j][sel]
-                         * wpow[wm[sel], order - j])
-            acc[sel] = part
-    outs = []
-    for acc in accs:
-        out = np.zeros_like(y)
-        out[mask] = acc
-        outs.append(out)
+                part += falling * XC[d - j] * B[order - j] * wr[:, order - j, None]
     return outs
 
 
@@ -174,9 +182,12 @@ def evaluate_testfn(tf: TestFunction, xi, order: int = 0):
     prefactor recurrence and the Leibniz rule for the monomial factor."""
     if not 0 <= order <= _MAX_ORDER:
         raise InvalidParameters(f"derivative order must be 0..4, got {order}")
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    (out,) = _testfn_derivs([tf], np.zeros(xi_arr.shape, dtype=int), xi_arr, (order,))
-    return float(out[0]) if np.ndim(xi) == 0 else out
+    x = np.asarray(xi, dtype=float)
+    # off the support, or not finite: read at its end, where every order is 0
+    x = np.where(np.abs(x - tf.center) < tf.width, x, tf.center + tf.width)
+    (out,) = _testfn_derivs(_bump_constants([tf]), np.zeros(1, dtype=int),
+                            x.reshape(1, -1), (order,))
+    return float(out[0, 0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +223,7 @@ def _partition(tfs: list[TestFunction], L: float):
     than 1e-12 times the narrowest width merged: the ends x0, x1 of the
     intervals that some bump covers, and the (bump, interval) pairs
     pb, pj of the bumps that cover each."""
-    c = np.array([tf.center for tf in tfs])
-    w = np.array([tf.width for tf in tfs])
+    c, w = _bump_constants(tfs)[:2]
     tol = 1e-12 * w.min()
     ends = np.concatenate([c - w, c + w])
     br = np.unique(np.concatenate([[-L, L], ends[np.abs(ends) < L - tol]]))
@@ -234,15 +244,23 @@ def _residuals(u_eval, params: EquationParams, g: float, tfs: list[TestFunction]
     and the norm integrand |b*u**n*phi^(high)|.  Every bump that covers
     an interval of `_partition` shares its tanh-sinh nodes.  A level
     evaluates u once on the new nodes of every live interval, and
-    phi^(low) and phi^(high) of every (bump, node) pair in tables of at
-    most _TABLE pairs.  An interval stops when the raw integral of every
-    covering bump changes by at most _TOL times that bump's norm, or at
-    level _LEVELS.  The norm is only a scale: its integrand has kinks at
-    the zeros of phi^(high), and it stops with the raw integral.  A bump's
-    error estimate is the sum of the last changes of its raw integral.
+    phi^(low) and phi^(high) in (pair x node) tables of at most _TABLE
+    entries: one row per live (bump, interval) pair, the rows sorted by
+    modulation degree once per report, and one column per new node of the
+    interval.  Row order moves no bit: rows are summed apart, and each
+    bump's pairs keep their order.  An interval stops when the raw
+    integral of every covering bump changes by at most _TOL times that
+    bump's norm, or at level _LEVELS.  The norm is only a scale: its
+    integrand has kinks at the zeros of phi^(high), and it stops with the
+    raw integral.  A bump's error estimate is the sum of the last changes
+    of its raw integral.
     """
     m, n, a, b = params.m, params.n, params.a, params.b
+    bumps = _bump_constants(tfs)
     x0, x1, pb, pj = _partition(tfs, L)
+    # stable, so each bump's pairs keep their order in the bincounts
+    by_degree = np.argsort(bumps[2][pb], kind="stable")
+    pb, pj = pb[by_degree], pj[by_degree]
     half = 0.5 * (x1 - x0)
     total = np.zeros((len(pb), 2))          # weighted node sums: raw, norm
     value = np.zeros((len(pb), 2))
@@ -265,8 +283,7 @@ def _residuals(u_eval, params: EquationParams, g: float, tfs: list[TestFunction]
         for start in range(0, len(pairs), step):
             idx = pairs[start:start + step]
             r = row[pj[idx]]
-            lo_d, hi_d = (d.reshape(r.size, -1) for d in _testfn_derivs(
-                tfs, np.repeat(pb[idx], len(wt)), x[r].ravel(), (phi_low, phi_high)))
+            lo_d, hi_d = _testfn_derivs(bumps, pb[idx], x[r], (phi_low, phi_high))
             hi_d *= disp[r]
             total[idx, 0] += np.sum((adv[r] * lo_d + hi_d) * weight[r], axis=1)
             total[idx, 1] += np.sum(np.abs(hi_d) * weight[r], axis=1)

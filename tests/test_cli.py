@@ -167,6 +167,34 @@ class TestVerify:
         assert code == EXIT_OK
 
 
+class TestThresholdValidation:
+    """--threshold must be finite and positive, whether a flag or a
+    --config entry gives it: anything else exits 2 before any work, with
+    an error line, no verdict and no report file."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("report", [False, True], ids=["stdout", "-o"])
+    def test_rejected(self, tmp_path, capsys, value, report):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--family", "cos1", "--n", "2", f"--threshold={value}"]
+        code = main(argv + (["-o", str(out)] if report else []))
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.out == ""
+        assert captured.err.startswith("error: --threshold must be finite and positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "0"])
+    def test_rejected_from_config(self, tmp_path, capsys, value):
+        cfg, out = tmp_path / "conf.txt", tmp_path / "report.json"
+        cfg.write_text(f"threshold={value}\n")
+        code = main(["verify", "--family", "cos1", "--n", "2", "--config", str(cfg),
+                     "-o", str(out)])
+        assert code == EXIT_INVALID
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEndpointFitUnavailable:
     """A valid profile whose U underflows before the fit's samples near the
     edge (p of several hundred) keeps the exit code its verdicts give and

@@ -34,9 +34,8 @@ class TestTestFunction:
     def test_zero_at_and_beyond_edge(self):
         tf = TestFunction(center=0.5, width=2.0, modulation_degree=1)
         for order in range(5):
-            assert evaluate_testfn(tf, 2.5, order) == 0.0
-            assert evaluate_testfn(tf, -1.5, order) == 0.0
-            assert evaluate_testfn(tf, 10.0, order) == 0.0
+            for x in (2.5, -1.5, 10.0, 1e200, -math.inf, math.nan):
+                assert evaluate_testfn(tf, x, order) == 0.0
 
     @pytest.mark.parametrize("degree", [0, 1])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -50,6 +49,19 @@ class TestTestFunction:
         exact = evaluate_testfn(tf, xs, order)
         scale = 1.0 + np.abs(exact)
         assert np.max(np.abs(fd - exact) / scale) < 1e-8
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_shape_contract(self, order):
+        # a 0-d input gives a float, any other shape an array of that shape
+        # whose entries are those of its ravel, bit for bit
+        tf = TestFunction(center=0.3, width=1.7, modulation_degree=2)
+        got = evaluate_testfn(tf, np.float64(0.5), order)
+        assert type(got) is float and got == evaluate_testfn(tf, [0.5], order)[0]
+        xs = np.linspace(-1.6, 2.2, 12).reshape(3, 4)
+        grid = evaluate_testfn(tf, xs, order)
+        assert grid.shape == (3, 4)
+        assert np.array_equal(grid.ravel(), evaluate_testfn(tf, xs.ravel(), order))
+        assert evaluate_testfn(tf, np.array([]), order).shape == (0,)
 
     def test_order_limit(self):
         tf = TestFunction(center=0.0, width=1.0)
@@ -107,12 +119,10 @@ class TestSharedKernel:
     """One table for every derivative order against the per-term powers."""
 
     def test_kernel_matches_per_term_powers(self):
-        mask, got = weakform._bump_derivs(_YS, range(5))
+        got = weakform._bump_derivs(_YS, range(5))
         for r in range(5):
             want = _bump_derivs_pow(_YS, r)
-            full = np.zeros_like(_YS)
-            full[mask] = got[r]
-            assert np.max(np.abs(full - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(got[r] - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     @pytest.mark.parametrize("order", range(5))
@@ -123,8 +133,9 @@ class TestSharedKernel:
         got = evaluate_testfn(tf, x, order)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # every order of one shared table equals its own evaluation
-        shared = weakform._testfn_derivs([tf], np.zeros(x.shape, dtype=int), x, (order, 4))
-        assert np.array_equal(shared[0], got)
+        shared = weakform._testfn_derivs(weakform._bump_constants([tf]), np.zeros(1, dtype=int),
+                                         x[None], (order, 4))
+        assert np.array_equal(shared[0][0], got)
 
     def test_leibniz_uses_scalar_width_powers(self):
         # a table over bumps of mixed degree against the one-bump Leibniz
@@ -134,26 +145,27 @@ class TestSharedKernel:
         assert np.any(widths ** -3 != [w ** -3 for w in widths.tolist()])
         tfs = [TestFunction(center=0.1 * i, width=w, modulation_degree=i % 4)
                for i, w in enumerate(widths.tolist())]
-        x = np.concatenate([tf.center + tf.width * _YS for tf in tfs])
-        which = np.repeat(np.arange(len(tfs)), len(_YS))
-        table = weakform._testfn_derivs(tfs, which, x, range(5))
+        # one row per bump, in runs of one degree each
+        x = np.array([tf.center + tf.width * _YS for tf in tfs])
+        table = weakform._testfn_derivs(weakform._bump_constants(tfs), np.arange(len(tfs)),
+                                        x, range(5))
         for i, tf in enumerate(tfs):
-            xc = x[which == i] - tf.center
-            mask, B = weakform._bump_derivs(xc / tf.width, range(5))
+            xc = x[i] - tf.center
+            B = weakform._bump_derivs(xc / tf.width, range(5))
             d = tf.modulation_degree
-            XC = weakform._powers(xc[mask], d)
+            XC = weakform._powers(xc, d)
             for order in range(5):
-                acc = np.zeros(np.count_nonzero(mask))
+                acc = np.zeros(len(xc))
                 for j in range(min(order, d) + 1):
                     acc += (math.perm(d, j) * math.comb(order, j) * XC[d - j]
                             * B[order - j] * tf.width ** (j - order))
-                assert np.array_equal(table[order][which == i][mask], acc)
+                assert np.array_equal(table[order][i], acc)
 
     @pytest.mark.parametrize("order", range(5))
     def test_kernel_against_mpmath(self, order):
         mp = pytest.importorskip("mpmath")
         ys = np.array([-0.93, -0.5, 0.0, 0.21, 0.77, 0.96])
-        _, got = weakform._bump_derivs(ys, (order,))
+        got = weakform._bump_derivs(ys, (order,))
         with mp.workdps(30):
             want = [float(mp.diff(lambda t: mp.exp(-1 / (1 - t * t)), mp.mpf(y), order))
                     for y in ys]
@@ -268,7 +280,8 @@ def _integrands(ev, pr, g, tf, lo, hi):
     def both(x):
         x = np.array([float(x)])
         u = ev(x)
-        phi_lo, phi_hi = weakform._testfn_derivs([tf], np.zeros(1, dtype=int), x, (lo, hi))
+        phi_lo, phi_hi = (phi[0] for phi in weakform._testfn_derivs(
+            weakform._bump_constants([tf]), np.zeros(1, dtype=int), x[None], (lo, hi)))
         disp = pr.b * u ** pr.n * phi_hi
         return float(((-g * u + pr.a * u ** pr.m) * phi_lo + disp)[0]), abs(float(disp[0]))
 
@@ -337,6 +350,12 @@ def _same_as_battery_of_one(ev, pr, g, tfs, L, lo, hi, raw_tol):
     return raws, norms, errs
 
 
+# (center, width) in units of L and the degree of a user battery's bumps:
+# degrees 0-3, one bump outside the support
+_ANY_DEGREE = [(-0.4, 0.7, 0), (0.1, 0.5, 1), (0.6, 0.9, 2),
+               (-0.9, 0.4, 3), (0.3, 1.5, 3), (5.0, 1.0, 2)]
+
+
 class TestBatchedLevels:
     """A report integrates its whole battery level by level on one joint
     partition: each bump agrees with itself integrated alone, and the
@@ -365,12 +384,28 @@ class TestBatchedLevels:
         prof = construct(FamilyId.CN2, n=2.0)
         L = prof.L
         tfs = [TestFunction(center=c * L, width=w * L, modulation_degree=d)
-               for c, w, d in [(-0.4, 0.7, 0), (0.1, 0.5, 1), (0.6, 0.9, 2),
-                               (-0.9, 0.4, 3), (0.3, 1.5, 3), (5.0, 1.0, 2)]]
+               for c, w, d in _ANY_DEGREE]
         batched = _same_as_battery_of_one(prof, prof.params, prof.g, tfs, L, lo, hi, 1e-14)
         assert [a[-1] for a in batched] == [0.0, 0.0, 0.0]
         raws, norms, _ = batched
         assert max(abs(r / nm) for r, nm in zip(raws[:-1], norms[:-1])) < 1e-8
+
+    @_EQUATIONS
+    @pytest.mark.parametrize("chunk", [128, None], ids=["128", "default"])
+    def test_battery_permutation_moves_no_bit(self, monkeypatch, lo, hi, chunk):
+        # the table's rows are grouped by degree, so a bump's place in the
+        # battery must not reach its raw residual, norm or error estimate
+        prof = construct(FamilyId.CN2, n=2.0)
+        L = prof.L
+        tfs = bump_battery(L) + [TestFunction(center=c * L, width=w * L, modulation_degree=d)
+                                 for c, w, d in _ANY_DEGREE]
+        if chunk is not None:
+            monkeypatch.setattr(weakform, "_TABLE", chunk)
+        want = weakform._residuals(prof, prof.params, prof.g, tfs, L, lo, hi)
+        perm = np.random.default_rng(35).permutation(len(tfs))
+        got = weakform._residuals(prof, prof.params, prof.g, [tfs[i] for i in perm], L, lo, hi)
+        for w, g in zip(want, got):
+            assert np.array_equal(w[perm], g)
 
 
 class TestJointPartition:
@@ -407,27 +442,37 @@ class TestJointPartition:
 
 class TestWorkCount:
     """Points given to the profile per report, and the calls that give
-    them, pinned at the measured counts plus 10%.  A change that means to
-    move them updates these numbers and says so; one that does not must
-    not exceed them."""
+    them; (bump, node) pairs in the phi tables, and the tables that hold
+    them.  Each is pinned at the measured count plus 10%.  A change that
+    means to move them updates these numbers and says so; one that does
+    not must not exceed them."""
 
-    @pytest.mark.parametrize("case,equation,pinned,calls", [
-        ((FamilyId.COS1, dict(n=2.0)), "K", 6412, 6),
-        ((FamilyId.RATCN5, dict(n=0.5, b=-1)), "KP", 8204, 6),
-        (_ZSQ2, "KP", 8540, 6),
-        (_FIG5_LEFT, "K", 6412, 6),
+    @pytest.mark.parametrize("case,equation,pinned,calls,pairs,tables", [
+        ((FamilyId.COS1, dict(n=2.0)), "K", 6412, 6, 69968, 21),
+        ((FamilyId.RATCN5, dict(n=0.5, b=-1)), "KP", 8204, 6, 90800, 27),
+        (_ZSQ2, "KP", 8540, 6, 94496, 28),
+        (_FIG5_LEFT, "K", 6412, 6, 69968, 21),
     ], ids=["cos1-2-K", "ratcn5-0.5-KP", "zsq2-1.875-KP", "fig5-left-K"])
-    def test_points_per_report(self, case, equation, pinned, calls):
+    def test_points_per_report(self, monkeypatch, case, equation, pinned, calls, pairs,
+                               tables):
         u_eval, params, L = _profile_of(case)
-        seen = []
+        seen, table_pairs = [], []
 
         def counted(x):   # as perfbench/spans.py wraps it
             seen.append(np.size(x))
             return u_eval(x)
 
+        def counted_table(bumps, rows, x, orders):   # x holds one node per pair
+            table_pairs.append(np.size(x))
+            return table(bumps, rows, x, orders)
+
+        table = weakform._testfn_derivs
+        monkeypatch.setattr(weakform, "_testfn_derivs", counted_table)
         verify_weak(counted, params, 1.0, L, equation)
         assert sum(seen) <= 1.1 * pinned
         assert len(seen) <= 1.1 * calls
+        assert sum(table_pairs) <= 1.1 * pairs
+        assert len(table_pairs) <= 1.1 * tables
 
 
 class TestScalingInvariance:
