@@ -16,19 +16,30 @@ Residuals are reported scaled by the L1 size of the dispersive term
 b*U**n*phi''' (or phi''''), which makes a single tolerance meaningful
 across parameter regimes.
 
-Every report integrates its whole battery on one node set.  [-L, L] is
-split once, at every bump end inside it; on each interval every covering
-bump's integrand is analytic inside, with flat or algebraic ends, which
-is the case tanh-sinh quadrature is built for.  Each refinement level
-evaluates U once on the new nodes of every live interval.  phi^(low) and
-phi^(high) come in (pair x node) tables: a row is one (bump, interval)
-pair, sorted by the bump's modulation degree, and its columns are the
-interval's new nodes, as many on every interval of a level.  A bump's
-center, width, degree and width powers are computed once per report and
-broadcast along its row; the bump table (v, exp(-v) and the powers of y
-and v, by multiplication) and the Leibniz rule for the monomial factor
-run on whole row blocks, with no per-point gather, compress or scatter.
-The raw residual and its scaling norm are summed on the same nodes.
+Every report integrates its whole battery on one node set, in s = xi/L.
+[-1, 1] is split once, at every bump end inside it; on each interval
+every covering bump's integrand is analytic inside, with flat or
+algebraic ends, which is the case tanh-sinh quadrature is built for.
+Each refinement level evaluates U once, at L*s, on the new nodes of every
+live interval.  phi^(low) and phi^(high), times the node weights, come in
+(pair x node) tables: a row is one (bump, interval) pair, sorted by the
+bump's modulation degree, and its columns are the interval's new nodes,
+as many on every interval of a level.  A bump's center, width, degree and
+width powers are broadcast along its row; the bump table (v, exp(-v) and
+the powers of y and v, by multiplication) and the Leibniz rule for the
+monomial factor run on whole row blocks, with no per-point gather,
+compress or scatter.  The raw residual and its scaling norm are summed on
+the same nodes, and a bump of degree d scales its sums against phi^(r)
+by L**(d + 1 - r).
+
+In s the default battery, `bump_battery` (L), is the same for every L:
+its partition (28 intervals), its 304 (bump, interval) pairs, its nodes
+and its tables.  Its layout is built once per process, and so are its
+tables of the tanh-sinh levels 0 to 4 (`_CACHED`), which most intervals
+pass through: one pair at a time, the first time a report needs it, and
+2.2 MB for both equations' four orders.  Deeper levels, and a battery a
+caller passes in, build their live rows per report.  Nothing is built at
+import.
 """
 
 from __future__ import annotations
@@ -226,7 +237,9 @@ def _partition(tfs: list[TestFunction], L: float):
     c, w = _bump_constants(tfs)[:2]
     tol = 1e-12 * w.min()
     ends = np.concatenate([c - w, c + w])
-    br = np.unique(np.concatenate([[-L, L], ends[np.abs(ends) < L - tol]]))
+    # the merge drops repeated ends too; np.unique would do no more, and its
+    # first call imports numpy.ma, which costs a one-shot process 10-16 ms
+    br = np.sort(np.concatenate([[-L, L], ends[np.abs(ends) < L - tol]]))
     br = br[np.concatenate([[True], np.diff(br) > tol])]
     cover = np.abs(0.5 * (br[1:] + br[:-1]) - c[:, None]) < w[:, None]
     seen = cover.any(axis=0)
@@ -234,67 +247,163 @@ def _partition(tfs: list[TestFunction], L: float):
     return br[:-1][seen], br[1:][seen], pb, pj
 
 
-def _residuals(u_eval, params: EquationParams, g: float, tfs: list[TestFunction],
+class _Battery:
+    """A battery of test functions in s = xi/L, laid out for quadrature on
+    [-1, 1]: its bump constants (`_bump_constants`), the ends and
+    half-lengths of the intervals of its `_partition`, and its (bump,
+    interval) pairs pb, pj, stable-sorted by modulation degree, so that
+    each bump's pairs keep their order."""
+
+    def __init__(self, tfs: list[TestFunction]):
+        self.size = len(tfs)
+        self.bumps = _bump_constants(tfs)
+        self.s0, self.s1, pb, pj = _partition(tfs, 1.0)
+        self.half = 0.5 * (self.s1 - self.s0)
+        by_degree = np.argsort(self.bumps[2][pb], kind="stable")
+        self.pb, self.pj = pb[by_degree], pj[by_degree]
+
+    def nodes(self, level: int, ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes that ``level`` adds on the intervals ``ints``, and their
+        weights half * wt, as (interval x node) arrays."""
+        sign, edge, wt = _tanh_sinh(level)
+        half = self.half[ints, None]
+        s = np.where(sign < 0, self.s0[ints, None] + half * edge,
+                     self.s1[ints, None] - half * edge)
+        return s, half * wt
+
+    def tables(self, rows: np.ndarray, s: np.ndarray, weight: np.ndarray,
+               orders) -> list[np.ndarray]:
+        """phi^(r) * weight for every r in ``orders``, as (pair x node)
+        tables of the pairs ``rows``, whose nodes and weights are the rows
+        of ``s`` and ``weight``."""
+        out = _testfn_derivs(self.bumps, self.pb[rows], s, orders)
+        for table in out:
+            table *= weight
+        return out
+
+
+_CACHED = 4       # the deepest level whose unit-battery tables are kept
+
+
+@functools.cache
+def _unit_battery() -> _Battery:
+    """`bump_battery` in s = xi/L, the same for every report."""
+    return _Battery(bump_battery(1.0))
+
+
+# (phi_low, phi_high, level) -> the unit battery's weighted phi tables of
+# that level, one (pair x node) array per order over all its pairs, and
+# which pairs are filled: a pair is built when a report first needs it
+_UNIT_TABLES: dict[tuple[int, int, int], tuple[list[np.ndarray], np.ndarray]] = {}
+
+
+def _unit_tables(orders, level: int):
+    """The kept tables of ``orders`` at ``level``, made empty on first use."""
+    key = (*orders, level)
+    if key not in _UNIT_TABLES:
+        shape = (len(_unit_battery().pb), len(_tanh_sinh(level)[2]))
+        _UNIT_TABLES[key] = ([np.empty(shape) for _ in orders],
+                             np.zeros(shape[0], dtype=bool))
+    return _UNIT_TABLES[key]
+
+
+def _tables(bat: _Battery, idx, s, weight, r, orders, kept) -> list[np.ndarray]:
+    """The weighted phi tables of the pairs ``idx`` of ``bat``, whose nodes
+    and weights are rows ``r`` of ``s`` and ``weight``: built, or, with
+    ``kept`` = (tables, filled) of `_unit_tables`, read from there after
+    the pairs not yet filled are built and copied into it.  A run of
+    consecutive pairs is read and written as a slice."""
+    if kept is None:
+        return bat.tables(idx, s[r], weight[r], orders)
+    tables, filled = kept
+    rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+    new = ~filled[rows]
+    if new.all():
+        built = bat.tables(idx, s[r], weight[r], orders)
+        for table, part in zip(tables, built):
+            table[rows] = part
+        filled[rows] = True
+        return built
+    if new.any():
+        built = bat.tables(idx[new], s[r[new]], weight[r[new]], orders)
+        for table, part in zip(tables, built):
+            table[idx[new]] = part
+        filled[idx[new]] = True
+    return [table[rows] for table in tables]
+
+
+def _residuals(u_eval, params: EquationParams, g: float, tfs: list[TestFunction] | None,
                L: float, phi_low: int, phi_high: int
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signed raw residual, scaling norm, and quadrature error per test
-    function of ``tfs``.
+    function of ``tfs``, or of `bump_battery` (L) when ``tfs`` is None.
 
-    The raw integrand is (-g*u + a*u**m)*phi^(low) + b*u**n*phi^(high)
-    and the norm integrand |b*u**n*phi^(high)|.  Every bump that covers
-    an interval of `_partition` shares its tanh-sinh nodes.  A level
-    evaluates u once on the new nodes of every live interval, and
-    phi^(low) and phi^(high) in (pair x node) tables of at most _TABLE
-    entries: one row per live (bump, interval) pair, the rows sorted by
-    modulation degree once per report, and one column per new node of the
-    interval.  Row order moves no bit: rows are summed apart, and each
-    bump's pairs keep their order.  An interval stops when the raw
-    integral of every covering bump changes by at most _TOL times that
-    bump's norm, or at level _LEVELS.  The norm is only a scale: its
-    integrand has kinks at the zeros of phi^(high), and it stops with the
-    raw integral.  A bump's error estimate is the sum of the last changes
-    of its raw integral.
+    The quadrature runs in s = xi/L.  A bump of degree d has
+    phi^(r)(xi) = L**(d - r) * phi~^(r)(s), where phi~ is the bump with
+    center and width divided by L, and dxi = L ds; so its integral against
+    phi^(r) is L**(d + 1 - r) times the one against phi~^(r) in s.  The raw
+    integrand is (-g*u + a*u**m)*phi^(low) + b*u**n*phi^(high), summed in s
+    with its first term times L**(high - low), then times L**(d + 1 - high);
+    the norm integrand is |b*u**n*phi^(high)|.  Every bump that covers an
+    interval of `_partition` shares its tanh-sinh nodes.  A level evaluates
+    u once, at L*s, on the new nodes of every live interval, and takes
+    phi~^(low) and phi~^(high) times the node weights from (pair x node)
+    tables of at most _TABLE entries: one row per live (bump, interval)
+    pair, the rows sorted by modulation degree, and one column per new node
+    of the interval.  Row order moves no bit: rows are summed apart, and each
+    bump's pairs keep their order.  `bump_battery` (L) is `bump_battery`
+    (1) in s for every L, so its tables of levels 0 to _CACHED are kept
+    for the process in `_UNIT_TABLES` (2.2 MB when both equations have
+    filled them), each pair built the first time a report needs it; deeper
+    levels, and every battery given as ``tfs``, build their live rows per
+    report.  An interval stops when the raw integral of every covering bump
+    changes by at most _TOL times that bump's norm, or at level _LEVELS.
+    The norm is only a scale: its integrand has kinks at the zeros of
+    phi^(high), and it stops with the raw integral.  A bump's error
+    estimate is the sum of the last changes of its raw integral.
     """
     m, n, a, b = params.m, params.n, params.a, params.b
-    bumps = _bump_constants(tfs)
-    x0, x1, pb, pj = _partition(tfs, L)
-    # stable, so each bump's pairs keep their order in the bincounts
-    by_degree = np.argsort(bumps[2][pb], kind="stable")
-    pb, pj = pb[by_degree], pj[by_degree]
-    half = 0.5 * (x1 - x0)
+    orders = (phi_low, phi_high)
+    if tfs is None:
+        bat, cached = _unit_battery(), _CACHED
+    else:
+        bat, cached = _Battery([TestFunction(tf.center / L, tf.width / L, tf.modulation_degree)
+                                for tf in tfs]), -1
+    pb, pj = bat.pb, bat.pj
+    # L**(d + 1 - phi_high) per pair; L**(phi_high - phi_low) goes into adv
+    scale = np.array([L ** (d + 1 - phi_high) for d in bat.bumps[2].tolist()])[pb, None]
+    lift = L ** (phi_high - phi_low)
     total = np.zeros((len(pb), 2))          # weighted node sums: raw, norm
-    value = np.zeros((len(pb), 2))
+    value = np.zeros((len(pb), 2))          # raw integral, norm
     change = np.zeros(len(pb))              # of the raw integral
-    norm = np.zeros(len(tfs))
-    live = np.ones(len(x0), dtype=bool)
+    norm = np.zeros(bat.size)
+    live = np.ones(len(bat.s0), dtype=bool)
     for level in range(_LEVELS + 1):
         if not live.any():
             break
-        sign, edge, wt = _tanh_sinh(level)
         ints = np.flatnonzero(live)
-        x = np.where(sign < 0, x0[ints, None] + half[ints, None] * edge,
-                     x1[ints, None] - half[ints, None] * edge)
-        u = np.asarray(u_eval(x.ravel()), dtype=float).reshape(x.shape)
-        adv, disp = -g * u + a * u ** m, b * u ** n
-        weight = half[ints, None] * wt
-        row = np.cumsum(live) - 1           # interval -> row of x
+        s, weight = bat.nodes(level, ints)
+        u = np.asarray(u_eval((L * s).ravel()), dtype=float).reshape(s.shape)
+        adv, disp = (-g * u + a * u ** m) * lift, b * u ** n
+        kept = _unit_tables(orders, level) if level <= cached else None
+        row = np.cumsum(live) - 1           # interval -> row of s
         pairs = np.flatnonzero(live[pj])
-        step = max(1, _TABLE // len(wt))
+        step = max(1, _TABLE // s.shape[1])
         for start in range(0, len(pairs), step):
             idx = pairs[start:start + step]
             r = row[pj[idx]]
-            lo_d, hi_d = _testfn_derivs(bumps, pb[idx], x[r], (phi_low, phi_high))
-            hi_d *= disp[r]
-            total[idx, 0] += np.sum((adv[r] * lo_d + hi_d) * weight[r], axis=1)
-            total[idx, 1] += np.sum(np.abs(hi_d) * weight[r], axis=1)
-        now = total[pairs] * 2.0 ** -(level + 1)
+            lo_t, hi_t = _tables(bat, idx, s, weight, r, orders, kept)
+            hi_t = disp[r] * hi_t
+            total[idx, 0] += np.sum(adv[r] * lo_t + hi_t, axis=1)
+            total[idx, 1] += np.sum(np.abs(hi_t), axis=1)
+        now = total[pairs] * 2.0 ** -(level + 1) * scale[pairs]
         change[pairs] = np.abs(now[:, 0] - value[pairs, 0])
         value[pairs] = now
-        norm = np.bincount(pb, weights=value[:, 1], minlength=len(tfs))
+        norm = np.bincount(pb, weights=value[:, 1], minlength=bat.size)
         if level:
             busy = change[pairs] > _TOL * norm[pb[pairs]]
-            live = np.bincount(pj[pairs], weights=busy, minlength=len(x0)) > 0
-    raw, err = (np.bincount(pb, weights=col, minlength=len(tfs))
+            live = np.bincount(pj[pairs], weights=busy, minlength=len(live)) > 0
+    raw, err = (np.bincount(pb, weights=col, minlength=bat.size)
                 for col in (value[:, 0], change))
     return raw, norm, err
 
@@ -356,7 +465,7 @@ def verify_weak(u_eval, params: EquationParams, g: float, L: float,
     if equation not in ("K", "KP"):
         raise InvalidParameters(f"equation must be 'K' or 'KP', got {equation!r}")
     lo, hi = (1, 3) if equation == "K" else (2, 4)
-    raws, norms, errs = _residuals(u_eval, params, g, bump_battery(L), L, lo, hi)
+    raws, norms, errs = _residuals(u_eval, params, g, None, L, lo, hi)
     scaled = []
     max_err = 0.0
     for raw, norm, err in zip(raws.tolist(), norms.tolist(), errs.tolist()):

@@ -1,5 +1,6 @@
 """What a one-shot ``compactons`` process pays for besides its command:
-the scipy modules it imports, and the page faults of a repeated verify.
+the scipy modules it imports, the weak verifier's phi tables, and the
+page faults of a repeated verify.
 Each case runs in a fresh interpreter, because this one has loaded scipy
 and changed its allocator's state."""
 
@@ -22,6 +23,17 @@ from compactons import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+# runs the command lines and prints the exit codes, then the keys of the phi
+# tables kept and whether the default battery was laid out
+_KEPT = """
+import contextlib, io, json, sys
+from compactons import cli, weakform
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(weakform._UNIT_TABLES),
+                  weakform._unit_battery.cache_info().currsize]))
 """
 
 # runs the command lines twice and prints the minor page faults of the second time
@@ -81,6 +93,20 @@ class TestScipyImports:
         codes, loaded = _fresh(_LOADED, [["solve", "--m", "2.25", "--n", "2"]], tmp_path)
         assert codes == [0]
         assert "scipy.integrate" in loaded
+
+
+class TestPhiTables:
+    """The weak verifier builds its kept tables in the first report that
+    needs them: not at import, and not for commands that verify nothing."""
+
+    @pytest.mark.parametrize("runs", [[], [["classify", *COS1]], [["table1"]]],
+                             ids=["import", "classify", "table1"])
+    def test_nothing_built_without_a_report(self, runs, tmp_path):
+        assert _fresh(_KEPT, runs, tmp_path) == [[0] * len(runs), [], 0]
+
+    def test_a_K_report_keeps_its_shallow_levels(self, tmp_path):
+        assert _fresh(_KEPT, [["verify", *COS1]], tmp_path) == [
+            [0], [[1, 3, level] for level in range(5)], 1]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

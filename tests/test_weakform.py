@@ -25,6 +25,8 @@ from compactons.weakform import (
 
 from conftest import DRAWS, NUMERIC_POINTS, case_id, profile_at
 
+_EQUATIONS = pytest.mark.parametrize("lo, hi", [(1, 3), (2, 4)], ids=["K", "KP"])
+
 
 class TestTestFunction:
     def test_center_value(self):
@@ -219,21 +221,35 @@ class TestResiduals:
         assert residual_K(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                           params, 1.0, tf, 1.0) == 0.0
 
-    def test_additivity_over_test_functions(self):
-        # the residual functional is linear in phi, so residuals of two
-        # bumps sum to the residual of a profile perturbation seen by both
+    @pytest.mark.parametrize("squared", [False, True], ids=["exact", "squared"])
+    @_EQUATIONS
+    def test_linear_in_the_test_function(self, squared, lo, hi):
+        # R(phi1) + R(phi2) = R(phi1 + phi2): the verifier's residuals of two
+        # bumps of different degrees, summed, against mpmath's quadrature of
+        # the node-by-node sum of their integrands, on the verifier's breaks.
+        # Measured: |difference| <= 4.9e-16 of the summed norms, the error
+        # estimates <= 8e-16; the squared profile is no solution, so its
+        # residuals are far from 0 (1.7e-4 of the norms for K, -4.5e-3 for KP)
+        mp = pytest.importorskip("mpmath")
         prof = construct(FamilyId.ZSQ1, n=2)
-        tf1 = TestFunction(center=0.0, width=0.5 * prof.L)
-        tf2 = TestFunction(center=0.2 * prof.L, width=0.5 * prof.L,
-                           modulation_degree=1)
-        r1 = residual_K(prof, prof.params, prof.g, tf1, prof.L)
-        r2 = residual_K(prof, prof.params, prof.g, tf2, prof.L)
-        # against a deliberately non-solution profile the sum must match too
-        bad = lambda x: prof(x) ** 2
-        b1 = residual_K(bad, prof.params, prof.g, tf1, prof.L)
-        b2 = residual_K(bad, prof.params, prof.g, tf2, prof.L)
-        assert abs((r1 + r2) - (r2 + r1)) == 0.0
-        assert abs(b1) > 1e-6 or abs(b2) > 1e-6
+        pr, g, L = prof.params, prof.g, prof.L
+        u = (lambda x: prof(x) ** 2) if squared else prof
+        tfs = [TestFunction(center=0.0, width=0.5 * L),
+               TestFunction(center=0.2 * L, width=0.5 * L, modulation_degree=1)]
+
+        def summed(x):
+            x = float(x)
+            uu = float(u(np.array([x]))[0])
+            phi_lo, phi_hi = (sum(evaluate_testfn(tf, x, r) for tf in tfs) for r in (lo, hi))
+            return (-g * uu + pr.a * uu ** pr.m) * phi_lo + pr.b * uu ** pr.n * phi_hi
+
+        x0, x1, _, _ = weakform._partition(tfs, L)
+        with mp.workdps(15):
+            whole = float(mp.quad(summed, [x0[0], *x1]))
+        raws, norms, _ = weakform._residuals(u, pr, g, tfs, L, lo, hi)
+        assert abs(whole - raws.sum()) <= 1e-14 * norms.sum(), (whole, raws.sum())
+        if squared:
+            assert abs(whole) > 1e-6 * norms.sum()
 
     def test_verify_weak_cos1(self):
         prof = construct(FamilyId.COS1, n=2)
@@ -271,7 +287,6 @@ def _profile_of(case):
 
 
 _FIG5_LEFT = EquationParams(m=2.25, n=2.0, a=1.0, b=1.0)
-_EQUATIONS = pytest.mark.parametrize("lo, hi", [(1, 3), (2, 4)], ids=["K", "KP"])
 
 
 def _integrands(ev, pr, g, tf, lo, hi):
@@ -373,11 +388,15 @@ class TestBatchedLevels:
     def test_chunk_size_does_not_move_a_bit(self, monkeypatch, case, raw_tol, lo, hi,
                                             chunk):
         ev, pr, L = _profile_of(case)
-        want = weakform._residuals(ev, pr, 1.0, bump_battery(L), L, lo, hi)
-        monkeypatch.setattr(weakform, "_TABLE", chunk)
-        got = weakform._residuals(ev, pr, 1.0, bump_battery(L), L, lo, hi)
-        for w, x in zip(want, got):
-            assert np.array_equal(w, x)
+        default = weakform._TABLE
+        for tfs in (bump_battery(L), None):   # passed in, and verify_weak's kept one
+            results = []
+            for size in (default, chunk):
+                monkeypatch.setattr(weakform, "_TABLE", size)
+                monkeypatch.setattr(weakform, "_UNIT_TABLES", {})
+                results.append(weakform._residuals(ev, pr, 1.0, tfs, L, lo, hi))
+            for w, x in zip(*results):
+                assert np.array_equal(w, x)
 
     @_EQUATIONS
     def test_user_battery_any_degree(self, lo, hi):
@@ -406,6 +425,73 @@ class TestBatchedLevels:
         got = weakform._residuals(prof, prof.params, prof.g, [tfs[i] for i in perm], L, lo, hi)
         for w, g in zip(want, got):
             assert np.array_equal(w[perm], g)
+
+
+def _kept_report(case, lo, hi):
+    """`verify_weak`'s raw residuals, norms and error estimates."""
+    ev, pr, L = _profile_of(case)
+    return weakform._residuals(ev, pr, 1.0, None, L, lo, hi)
+
+
+class TestUnitTables:
+    """The unit battery's tables of levels 0 to _CACHED are kept for the
+    process and filled pair by pair: what a report reads from them is what
+    it would build, and they hold at most 2.2 MB."""
+
+    @_EQUATIONS
+    def test_cold_report_equals_warm(self, monkeypatch, lo, hi):
+        monkeypatch.setattr(weakform, "_UNIT_TABLES", {})
+        cold = _kept_report(_ZSQ2, lo, hi)
+        # start again, and fill the tables first from the other equation and
+        # from profiles whose intervals stop at other levels, so that the
+        # report reads rows that other reports built
+        monkeypatch.setattr(weakform, "_UNIT_TABLES", {})
+        for case in (_FIG5_LEFT, (FamilyId.RATCN5, dict(n=0.5, b=-1))):
+            for orders in ((1, 3), (2, 4)):
+                _kept_report(case, *orders)
+        for warm in (_kept_report(_ZSQ2, lo, hi), _kept_report(_ZSQ2, lo, hi)):
+            for c, w in zip(cold, warm):
+                assert np.array_equal(c, w)
+
+    @_EQUATIONS
+    def test_given_unit_battery_is_the_kept_one(self, monkeypatch, lo, hi):
+        # at L = 1 a battery passed in is bump_battery(1) in s, bit for bit,
+        # and goes through the builder with nothing kept
+        prof = construct(FamilyId.CN2, n=2.0)
+        monkeypatch.setattr(weakform, "_UNIT_TABLES", {})
+
+        def unit(s):
+            return prof(prof.L * np.asarray(s, dtype=float))
+
+        given = weakform._residuals(unit, prof.params, prof.g, bump_battery(1.0), 1.0, lo, hi)
+        assert weakform._UNIT_TABLES == {}
+        for _ in ("cold", "warm"):
+            kept = weakform._residuals(unit, prof.params, prof.g, None, 1.0, lo, hi)
+            for g, k in zip(given, kept):
+                assert np.array_equal(g, k)
+        assert np.count_nonzero(given[1]) > 20
+
+    def test_kept_tables_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(weakform, "_UNIT_TABLES", {})
+        for case in (_ZSQ2, _COS1, _FIG5_LEFT):
+            for orders in ((1, 3), (2, 4)):
+                _kept_report(case, *orders)
+        kept = weakform._UNIT_TABLES
+        # levels 0-4: 304 pairs x 225 nodes x 8 bytes for each of four orders
+        assert sum(t.nbytes for tables, _ in kept.values() for t in tables) <= 2_188_800
+        assert {level for _, _, level in kept} == set(range(weakform._CACHED + 1))
+
+    def test_user_test_function_keeps_nothing(self, monkeypatch):
+        prof = construct(FamilyId.CN2, n=2.0)
+        monkeypatch.setattr(weakform, "_UNIT_TABLES", {})
+        _kept_report((FamilyId.CN2, dict(n=2.0)), 1, 3)
+        before = {key: filled.copy() for key, (_, filled) in weakform._UNIT_TABLES.items()}
+        tf = TestFunction(center=0.1 * prof.L, width=0.7 * prof.L, modulation_degree=2)
+        for residual in (residual_K, residual_KP):
+            assert residual(prof, prof.params, prof.g, tf, prof.L) != 0.0
+        assert weakform._UNIT_TABLES.keys() == before.keys()
+        for key, filled in before.items():
+            assert np.array_equal(weakform._UNIT_TABLES[key][1], filled)
 
 
 class TestJointPartition:
@@ -442,37 +528,47 @@ class TestJointPartition:
 
 class TestWorkCount:
     """Points given to the profile per report, and the calls that give
-    them; (bump, node) pairs in the phi tables, and the tables that hold
-    them.  Each is pinned at the measured count plus 10%.  A change that
-    means to move them updates these numbers and says so; one that does
-    not must not exceed them."""
+    them; (pair, node) entries built into phi tables, and the tables that
+    hold them, by a report that finds no kept table (cold) and by the same
+    report again (warm), which builds only below the kept levels.  Each
+    count is pinned at the measured count plus 10%.  A change that means to
+    move them updates these numbers and says so; one that does not must not
+    exceed them."""
 
-    @pytest.mark.parametrize("case,equation,pinned,calls,pairs,tables", [
-        ((FamilyId.COS1, dict(n=2.0)), "K", 6412, 6, 69968, 21),
-        ((FamilyId.RATCN5, dict(n=0.5, b=-1)), "KP", 8204, 6, 90800, 27),
-        (_ZSQ2, "KP", 8540, 6, 94496, 28),
-        (_FIG5_LEFT, "K", 6412, 6, 69968, 21),
+    @pytest.mark.parametrize("case,equation,pinned,calls,entries,tables,warm,warm_tables", [
+        ((FamilyId.COS1, dict(n=2.0)), "K", 6412, 6, 69968, 21, 11872, 3),
+        ((FamilyId.RATCN5, dict(n=0.5, b=-1)), "KP", 8204, 6, 90800, 27, 30016, 8),
+        (_ZSQ2, "KP", 8540, 6, 94496, 28, 32480, 9),
+        (_FIG5_LEFT, "K", 6412, 6, 69968, 21, 11872, 3),
     ], ids=["cos1-2-K", "ratcn5-0.5-KP", "zsq2-1.875-KP", "fig5-left-K"])
-    def test_points_per_report(self, monkeypatch, case, equation, pinned, calls, pairs,
-                               tables):
+    def test_points_per_report(self, monkeypatch, case, equation, pinned, calls, entries,
+                               tables, warm, warm_tables):
         u_eval, params, L = _profile_of(case)
-        seen, table_pairs = [], []
+        seen, built = [], []
 
         def counted(x):   # as perfbench/spans.py wraps it
             seen.append(np.size(x))
             return u_eval(x)
 
-        def counted_table(bumps, rows, x, orders):   # x holds one node per pair
-            table_pairs.append(np.size(x))
+        def counted_table(bumps, rows, x, orders):   # x holds one node per entry
+            built.append(x.shape)
             return table(bumps, rows, x, orders)
 
         table = weakform._testfn_derivs
         monkeypatch.setattr(weakform, "_testfn_derivs", counted_table)
-        verify_weak(counted, params, 1.0, L, equation)
-        assert sum(seen) <= 1.1 * pinned
-        assert len(seen) <= 1.1 * calls
-        assert sum(table_pairs) <= 1.1 * pairs
-        assert len(table_pairs) <= 1.1 * tables
+        monkeypatch.setattr(weakform, "_UNIT_TABLES", {})   # nothing kept yet
+        for most_entries, most_tables in ((entries, tables), (warm, warm_tables)):
+            seen.clear()
+            built.clear()
+            verify_weak(counted, params, 1.0, L, equation)
+            assert sum(seen) <= 1.1 * pinned
+            assert len(seen) <= 1.1 * calls
+            assert sum(rows * nodes for rows, nodes in built) <= 1.1 * most_entries
+            assert len(built) <= 1.1 * most_tables
+        # the warm report builds nothing at the kept levels, whose intervals
+        # have at most as many new nodes as level _CACHED
+        kept_nodes = len(weakform._tanh_sinh(weakform._CACHED)[2])
+        assert all(nodes > kept_nodes for _, nodes in built)
 
 
 class TestScalingInvariance:
